@@ -8,7 +8,7 @@
 //
 //	benchcheck [-min-speedup X] [-max-profiling-overhead P]
 //	           [-min-parallel-speedup S] [-max-window-overhead W]
-//	           [-min-warm-recovery-speedup R]
+//	           [-min-warm-recovery-speedup R] [-max-observer-overhead O]
 //	           [BENCH_file.json ...]
 //
 // With no file arguments, the newest BENCH_*.json in the current
@@ -35,6 +35,10 @@
 //     the recorded window_overhead_pct (throughput lost to the
 //     sliding-window recorder layer relative to the plain-recorder
 //     observed posture) stays under -max-window-overhead;
+//   - for schema ≥ 5 reports, the serve posture's observer overhead —
+//     the throughput compiled+prof+obs+win loses against
+//     compiled+plain, computed from the observability rows — stays
+//     under -max-observer-overhead;
 //   - for schema ≥ 6 reports, the recovery section is present with
 //     both the cold and warm configurations replaying the full
 //     journal losslessly, and the recorded warm_recovery_speedup
@@ -62,19 +66,32 @@ import (
 	"repro/internal/bench"
 )
 
+// gates holds the thresholds one report is checked against.
+type gates struct {
+	minSpeedup          float64
+	maxProfOverhead     float64
+	minParallel         float64
+	maxWinOverhead      float64
+	minWarmRecovery     float64
+	maxObserverOverhead float64
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchcheck: ")
-	minSpeedup := flag.Float64("min-speedup", 1.0,
+	var g gates
+	flag.Float64Var(&g.minSpeedup, "min-speedup", 1.0,
 		"minimum dispatch_speedup (batch-compiled over single-interpreted packets/sec)")
-	maxProfOverhead := flag.Float64("max-profiling-overhead", 15.0,
+	flag.Float64Var(&g.maxProfOverhead, "max-profiling-overhead", 15.0,
 		"maximum profiling_overhead_pct for schema ≥ 3 reports (percent of compiled throughput)")
-	minParallel := flag.Float64("min-parallel-speedup", 3.0,
+	flag.Float64Var(&g.minParallel, "min-parallel-speedup", 3.0,
 		"minimum parallel_speedup for schema ≥ 4 reports, capped by the report's recorded core budget (see doc)")
-	maxWinOverhead := flag.Float64("max-window-overhead", 20.0,
+	flag.Float64Var(&g.maxWinOverhead, "max-window-overhead", 20.0,
 		"maximum window_overhead_pct for schema ≥ 5 reports (percent of plain-recorder observed throughput)")
-	minWarmRecovery := flag.Float64("min-warm-recovery-speedup", 5.0,
+	flag.Float64Var(&g.minWarmRecovery, "min-warm-recovery-speedup", 5.0,
 		"minimum warm_recovery_speedup for schema ≥ 6 reports (warm journal-replay records/sec over cold)")
+	flag.Float64Var(&g.maxObserverOverhead, "max-observer-overhead", 20.0,
+		"maximum observer overhead for schema ≥ 5 reports (percent of compiled+plain throughput lost by compiled+prof+obs+win)")
 	flag.Parse()
 
 	files := flag.Args()
@@ -88,7 +105,7 @@ func main() {
 
 	failures := 0
 	for _, file := range files {
-		for _, msg := range checkFile(file, *minSpeedup, *maxProfOverhead, *minParallel, *maxWinOverhead, *minWarmRecovery) {
+		for _, msg := range checkFile(file, g) {
 			failures++
 			fmt.Fprintf(os.Stderr, "FAIL %s: %s\n", file, msg)
 		}
@@ -129,7 +146,7 @@ func listReports(dir string) ([]string, error) {
 }
 
 // checkFile returns the list of failed-check messages for one report.
-func checkFile(file string, minSpeedup, maxProfOverhead, minParallel, maxWinOverhead, minWarmRecovery float64) []string {
+func checkFile(file string, g gates) []string {
 	data, err := os.ReadFile(file)
 	if err != nil {
 		return []string{err.Error()}
@@ -170,9 +187,9 @@ func checkFile(file string, minSpeedup, maxProfOverhead, minParallel, maxWinOver
 		}
 	}
 
-	if rep.DispatchSpeedup < minSpeedup {
+	if rep.DispatchSpeedup < g.minSpeedup {
 		msgs = append(msgs, fmt.Sprintf(
-			"dispatch_speedup %.2fx below floor %.2fx", rep.DispatchSpeedup, minSpeedup))
+			"dispatch_speedup %.2fx below floor %.2fx", rep.DispatchSpeedup, g.minSpeedup))
 	}
 
 	// Schema 3 added the observability section: always-on compiled
@@ -180,10 +197,10 @@ func checkFile(file string, minSpeedup, maxProfOverhead, minParallel, maxWinOver
 	if rep.Schema >= 3 {
 		if len(rep.Observability) == 0 {
 			msgs = append(msgs, "observability section is empty (schema ≥ 3 requires it)")
-		} else if rep.ProfilingOverheadPct > maxProfOverhead {
+		} else if rep.ProfilingOverheadPct > g.maxProfOverhead {
 			msgs = append(msgs, fmt.Sprintf(
 				"profiling_overhead_pct %.1f%% above ceiling %.1f%%",
-				rep.ProfilingOverheadPct, maxProfOverhead))
+				rep.ProfilingOverheadPct, g.maxProfOverhead))
 		}
 	}
 
@@ -201,11 +218,11 @@ func checkFile(file string, minSpeedup, maxProfOverhead, minParallel, maxWinOver
 					widest = r.Goroutines
 				}
 			}
-			floor := parallelFloor(minParallel, widest, rep.GOMAXPROCS)
+			floor := parallelFloor(g.minParallel, widest, rep.GOMAXPROCS)
 			if rep.ParallelSpeedup < floor {
 				msgs = append(msgs, fmt.Sprintf(
 					"parallel_speedup %.2fx below floor %.2fx (flag %.2fx, %d goroutines, gomaxprocs %d)",
-					rep.ParallelSpeedup, floor, minParallel, widest, rep.GOMAXPROCS))
+					rep.ParallelSpeedup, floor, g.minParallel, widest, rep.GOMAXPROCS))
 			}
 		}
 	}
@@ -231,10 +248,17 @@ func checkFile(file string, minSpeedup, maxProfOverhead, minParallel, maxWinOver
 		}
 		if !windowed {
 			msgs = append(msgs, "observability matrix lacks the windowed configuration (schema ≥ 5 requires it)")
-		} else if rep.WindowOverheadPct > maxWinOverhead {
+		} else if rep.WindowOverheadPct > g.maxWinOverhead {
 			msgs = append(msgs, fmt.Sprintf(
 				"window_overhead_pct %.1f%% above ceiling %.1f%%",
-				rep.WindowOverheadPct, maxWinOverhead))
+				rep.WindowOverheadPct, g.maxWinOverhead))
+		}
+		if pct, ok := observerOverheadPct(rep.Observability); !ok {
+			msgs = append(msgs, "observability matrix lacks the compiled+plain or compiled+prof+obs+win row (schema ≥ 5 requires both)")
+		} else if pct > g.maxObserverOverhead {
+			msgs = append(msgs, fmt.Sprintf(
+				"observer overhead %.1f%% (compiled+prof+obs+win vs compiled+plain) above ceiling %.1f%%",
+				pct, g.maxObserverOverhead))
 		}
 	}
 
@@ -254,13 +278,37 @@ func checkFile(file string, minSpeedup, maxProfOverhead, minParallel, maxWinOver
 		}
 		if !seen["cold"] || !seen["warm"] {
 			msgs = append(msgs, "recovery section lacks the cold/warm pair (schema ≥ 6 requires both)")
-		} else if rep.WarmRecoverySpeedup < minWarmRecovery {
+		} else if rep.WarmRecoverySpeedup < g.minWarmRecovery {
 			msgs = append(msgs, fmt.Sprintf(
 				"warm_recovery_speedup %.2fx below floor %.2fx",
-				rep.WarmRecoverySpeedup, minWarmRecovery))
+				rep.WarmRecoverySpeedup, g.minWarmRecovery))
 		}
 	}
 	return msgs
+}
+
+// observerOverheadPct is the throughput the serve posture loses to its
+// observers: compiled+prof+obs+win (profiling, recorder with windows,
+// flight recorder — what `pccmon -serve` boots into) against
+// compiled+plain, as a percentage of the plain rate. ok is false when
+// either row is missing.
+func observerOverheadPct(rows []bench.ObservabilityJSON) (pct float64, ok bool) {
+	var plain, serve float64
+	for _, r := range rows {
+		if r.Backend != "compiled" {
+			continue
+		}
+		switch {
+		case !r.Profiling && !r.Observers && !r.Windowed:
+			plain = r.PPS
+		case r.Profiling && r.Observers && r.Windowed:
+			serve = r.PPS
+		}
+	}
+	if plain <= 0 || serve <= 0 {
+		return 0, false
+	}
+	return (plain - serve) / plain * 100, true
 }
 
 // parallelFloor is the effective parallel-speedup floor: the flag

@@ -31,6 +31,16 @@ func TestParallelFloor(t *testing.T) {
 	}
 }
 
+// testGates are the thresholds the fixture report passes.
+var testGates = gates{
+	minSpeedup:          1.0,
+	maxProfOverhead:     15.0,
+	minParallel:         3.0,
+	maxWinOverhead:      20.0,
+	minWarmRecovery:     5.0,
+	maxObserverOverhead: 25.0,
+}
+
 // writeReport drops a minimal passing current-schema report into dir
 // and returns its path; the mutate hook lets each case break one field.
 func writeReport(t *testing.T, dir string, mutate func(*bench.Report)) string {
@@ -48,8 +58,9 @@ func writeReport(t *testing.T, dir string, mutate func(*bench.Report)) string {
 			{Filter: "Filter 1", CodeBytes: 64, ProofBytes: 300, ProofNodes: 400, VCNodes: 120, CheckSteps: 500},
 		},
 		Observability: []bench.ObservabilityJSON{
-			{Config: "compiled+prof+obs", PPS: 900, Observers: true},
-			{Config: "compiled+prof+obs+win", PPS: 880, Observers: true, Windowed: true},
+			{Config: "compiled+plain", Backend: "compiled", PPS: 1000},
+			{Config: "compiled+prof+obs", Backend: "compiled", PPS: 900, Profiling: true, Observers: true},
+			{Config: "compiled+prof+obs+win", Backend: "compiled", PPS: 880, Profiling: true, Observers: true, Windowed: true},
 		},
 		ProfilingOverheadPct: 5,
 		WindowOverheadPct:    2.2,
@@ -82,7 +93,7 @@ func writeReport(t *testing.T, dir string, mutate func(*bench.Report)) string {
 func TestCheckFileParallelGate(t *testing.T) {
 	t.Run("passes", func(t *testing.T) {
 		path := writeReport(t, t.TempDir(), nil)
-		if msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0); len(msgs) != 0 {
+		if msgs := checkFile(path, testGates); len(msgs) != 0 {
 			t.Fatalf("unexpected failures: %v", msgs)
 		}
 	})
@@ -90,7 +101,7 @@ func TestCheckFileParallelGate(t *testing.T) {
 		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
 			r.ParallelSpeedup = 1.1 // 8 cores available: a convoy
 		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
+		msgs := checkFile(path, testGates)
 		if len(msgs) != 1 || !strings.Contains(msgs[0], "parallel_speedup") {
 			t.Fatalf("want one parallel_speedup failure, got %v", msgs)
 		}
@@ -100,7 +111,7 @@ func TestCheckFileParallelGate(t *testing.T) {
 			r.ParallelSpeedup = 1.1
 			r.GOMAXPROCS = 1 // floor degrades to 0.85
 		})
-		if msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0); len(msgs) != 0 {
+		if msgs := checkFile(path, testGates); len(msgs) != 0 {
 			t.Fatalf("unexpected failures: %v", msgs)
 		}
 	})
@@ -109,7 +120,7 @@ func TestCheckFileParallelGate(t *testing.T) {
 			r.ParallelSpeedup = 0.4
 			r.GOMAXPROCS = 1
 		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
+		msgs := checkFile(path, testGates)
 		if len(msgs) != 1 || !strings.Contains(msgs[0], "parallel_speedup") {
 			t.Fatalf("want one parallel_speedup failure, got %v", msgs)
 		}
@@ -118,7 +129,7 @@ func TestCheckFileParallelGate(t *testing.T) {
 		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
 			r.DispatchScaling = nil
 		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
+		msgs := checkFile(path, testGates)
 		if len(msgs) != 1 || !strings.Contains(msgs[0], "dispatch_scaling") {
 			t.Fatalf("want one dispatch_scaling failure, got %v", msgs)
 		}
@@ -130,7 +141,7 @@ func TestCheckFileParallelGate(t *testing.T) {
 			r.ParallelSpeedup = 0
 			r.GOMAXPROCS = 0
 		})
-		if msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0); len(msgs) != 0 {
+		if msgs := checkFile(path, testGates); len(msgs) != 0 {
 			t.Fatalf("unexpected failures: %v", msgs)
 		}
 	})
@@ -141,7 +152,7 @@ func TestCheckFileSchema5Gate(t *testing.T) {
 		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
 			r.CertCost = nil
 		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
+		msgs := checkFile(path, testGates)
 		if len(msgs) != 1 || !strings.Contains(msgs[0], "cert_cost") {
 			t.Fatalf("want one cert_cost failure, got %v", msgs)
 		}
@@ -150,25 +161,26 @@ func TestCheckFileSchema5Gate(t *testing.T) {
 		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
 			r.CertCost[0].ProofBytes = 0
 		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
+		msgs := checkFile(path, testGates)
 		if len(msgs) != 1 || !strings.Contains(msgs[0], "implausible sizes") {
 			t.Fatalf("want one implausible-sizes failure, got %v", msgs)
 		}
 	})
 	t.Run("missing windowed config fails", func(t *testing.T) {
 		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
-			r.Observability = r.Observability[:1] // drop the +win row
+			r.Observability = r.Observability[:2] // drop the +win row
 		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "windowed configuration") {
-			t.Fatalf("want one windowed-configuration failure, got %v", msgs)
+		msgs := checkFile(path, testGates)
+		if len(msgs) != 2 || !strings.Contains(msgs[0], "windowed configuration") ||
+			!strings.Contains(msgs[1], "compiled+prof+obs+win") {
+			t.Fatalf("want windowed-configuration and observer-row failures, got %v", msgs)
 		}
 	})
 	t.Run("window overhead above ceiling fails", func(t *testing.T) {
 		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
 			r.WindowOverheadPct = 45.0
 		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
+		msgs := checkFile(path, testGates)
 		if len(msgs) != 1 || !strings.Contains(msgs[0], "window_overhead_pct") {
 			t.Fatalf("want one window_overhead_pct failure, got %v", msgs)
 		}
@@ -177,7 +189,7 @@ func TestCheckFileSchema5Gate(t *testing.T) {
 		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
 			r.WindowOverheadPct = -1.5 // windowed run measured faster
 		})
-		if msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0); len(msgs) != 0 {
+		if msgs := checkFile(path, testGates); len(msgs) != 0 {
 			t.Fatalf("unexpected failures: %v", msgs)
 		}
 	})
@@ -188,7 +200,7 @@ func TestCheckFileSchema6Gate(t *testing.T) {
 		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
 			r.Recovery = r.Recovery[:1] // drop the warm row
 		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
+		msgs := checkFile(path, testGates)
 		if len(msgs) != 1 || !strings.Contains(msgs[0], "cold/warm pair") {
 			t.Fatalf("want one cold/warm-pair failure, got %v", msgs)
 		}
@@ -197,7 +209,7 @@ func TestCheckFileSchema6Gate(t *testing.T) {
 		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
 			r.Recovery[1].Restored = 180
 		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
+		msgs := checkFile(path, testGates)
 		if len(msgs) != 1 || !strings.Contains(msgs[0], "losslessly") {
 			t.Fatalf("want one lossless-replay failure, got %v", msgs)
 		}
@@ -206,7 +218,7 @@ func TestCheckFileSchema6Gate(t *testing.T) {
 		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
 			r.WarmRecoverySpeedup = 2.0
 		})
-		msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0)
+		msgs := checkFile(path, testGates)
 		if len(msgs) != 1 || !strings.Contains(msgs[0], "warm_recovery_speedup") {
 			t.Fatalf("want one warm_recovery_speedup failure, got %v", msgs)
 		}
@@ -217,7 +229,53 @@ func TestCheckFileSchema6Gate(t *testing.T) {
 			r.Recovery = nil
 			r.WarmRecoverySpeedup = 0
 		})
-		if msgs := checkFile(path, 1.0, 15.0, 3.0, 20.0, 5.0); len(msgs) != 0 {
+		if msgs := checkFile(path, testGates); len(msgs) != 0 {
+			t.Fatalf("unexpected failures: %v", msgs)
+		}
+	})
+}
+
+func TestCheckFileObserverGate(t *testing.T) {
+	t.Run("overhead computed from the rows", func(t *testing.T) {
+		rows := []bench.ObservabilityJSON{
+			{Backend: "interp", PPS: 400},
+			{Backend: "compiled", PPS: 1000},
+			{Backend: "compiled", Profiling: true, PPS: 950},
+			{Backend: "compiled", Profiling: true, Observers: true, PPS: 700},
+			{Backend: "compiled", Profiling: true, Observers: true, Windowed: true, PPS: 600},
+		}
+		if pct, ok := observerOverheadPct(rows); !ok || pct != 40 {
+			t.Fatalf("observer overhead = %v (ok %t), want 40", pct, ok)
+		}
+	})
+	t.Run("overhead above ceiling fails", func(t *testing.T) {
+		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
+			r.Observability[2].PPS = 700 // 30% below compiled+plain
+			r.WindowOverheadPct = 0
+		})
+		msgs := checkFile(path, testGates)
+		if len(msgs) != 1 || !strings.Contains(msgs[0], "observer overhead 30.0%") {
+			t.Fatalf("want one observer-overhead failure, got %v", msgs)
+		}
+	})
+	t.Run("missing compiled+plain row fails", func(t *testing.T) {
+		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
+			r.Observability = r.Observability[1:]
+		})
+		msgs := checkFile(path, testGates)
+		if len(msgs) != 1 || !strings.Contains(msgs[0], "compiled+plain") {
+			t.Fatalf("want one missing-row failure, got %v", msgs)
+		}
+	})
+	t.Run("schema 4 skips the gate", func(t *testing.T) {
+		path := writeReport(t, t.TempDir(), func(r *bench.Report) {
+			r.Schema = 4
+			r.Observability = r.Observability[1:2]
+			r.CertCost = nil
+			r.Recovery = nil
+			r.WarmRecoverySpeedup = 0
+		})
+		if msgs := checkFile(path, testGates); len(msgs) != 0 {
 			t.Fatalf("unexpected failures: %v", msgs)
 		}
 	})

@@ -152,9 +152,10 @@ func (k *Kernel) Breakers() map[string]int {
 }
 
 // demoteCompiled unpublishes owner's compiled form (COW rewrite) and
-// returns it for safekeeping. Takes k.mu; callers hold brkMu (lock
-// order: brkMu before k.mu, everywhere).
-func (k *Kernel) demoteCompiled(owner string) *machine.Compiled {
+// returns it for safekeeping. The transition is flight-recorded once
+// as a backend fallback, tagged with the delivery that drove it. Takes
+// k.mu; callers hold brkMu (lock order: brkMu before k.mu, everywhere).
+func (k *Kernel) demoteCompiled(owner string, eid uint64) *machine.Compiled {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	t := k.table.Load()
@@ -174,6 +175,7 @@ func (k *Kernel) demoteCompiled(owner string) *machine.Compiled {
 	if nt != t {
 		k.publishLocked(nt, replaced...)
 	}
+	k.flight(telemetry.FlightBackendFallback, owner, "compiled form demoted; dispatching interpreted", eid)
 	return saved
 }
 
@@ -265,7 +267,7 @@ func (k *Kernel) breakerFault(owner, kind string, eid uint64) {
 // openBreaker demotes owner and starts the backoff clock. Caller holds
 // brkMu.
 func (k *Kernel) openBreaker(owner string, st *breakerState, cfg *BreakerConfig, eid uint64) {
-	if c := k.demoteCompiled(owner); c != nil {
+	if c := k.demoteCompiled(owner, eid); c != nil {
 		st.compiled = c
 	}
 	st.state = breakerOpen
@@ -300,7 +302,7 @@ func (k *Kernel) escalateBreaker(owner string, trips int, eid uint64) {
 	if uerr := k.UninstallFilter(owner); uerr != nil {
 		k.brkMu.Lock()
 		if st := k.brk[owner]; st != nil {
-			if c := k.demoteCompiled(owner); c != nil {
+			if c := k.demoteCompiled(owner, eid); c != nil {
 				st.compiled = c
 			}
 			st.state = breakerOpen

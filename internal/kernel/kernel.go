@@ -509,6 +509,9 @@ func (k *Kernel) commitFilter(owner string, binary []byte, slot *cacheSlot, va *
 		}
 		k.publishLocked(nt, retired...)
 		tel.setFilters(len(nt.slots))
+		if compiled == nil && Backend(k.backend.Load()) == BackendCompiled {
+			k.flight(telemetry.FlightBackendFallback, owner, "no compiled form; dispatching interpreted", eid)
+		}
 		return nil
 	}()
 	if err != nil {
@@ -596,114 +599,123 @@ type packetEnv struct {
 	tail         *machine.Region
 	scratch      *machine.Region
 	dirtyScratch bool
-	// pktBuf is the environment's own packet backing storage, used
-	// when the packet must be copied in (single-packet dispatch).
-	// Vectorized dispatch instead aliases the packet region straight
-	// onto the caller's buffer (see setPacketAlias), with the tail
-	// region covering an unaligned final word.
-	pktBuf []byte
-	// tailSrc, when non-nil, is the aliased packet whose unaligned
-	// final word has not been copied into the tail region yet. The
-	// copy is deferred until a filter actually touches the tail (see
+	// tailPending reports that the mapped packet's unaligned final
+	// word has not been copied into its tail word yet. The copy is
+	// deferred until a filter actually touches the tail (see
 	// materializeTail): filters read packet headers, so eagerly
 	// copying the last few bytes would drag the packet's final cache
 	// line in from memory on every delivery for bytes almost never
 	// read.
-	tailSrc []byte
+	tailPending bool
+	// cur is the batch index of the packet setPacket mapped last, -1
+	// for none: back-to-back runs over one packet — every run of a
+	// one-packet batch — map it once.
+	cur int
 	// shard is the environment's assigned slot in the kernel's sharded
 	// dispatch counters (shard.go), fixed at creation. sync.Pool's
 	// per-P caching gives the assignment natural processor affinity.
 	shard uint32
-	// Pooled per-batch scratch for DeliverPackets (owner offsets,
-	// accepting-slot indices, and per-filter accumulators parallel to
-	// the snapshot's slots), so a batch allocates only its result.
-	offs    []int32
-	aidx    []uint16
-	cycles  []int64
-	accepts []int64
-	runs    []int64
-	bps     []*machine.BlockProfile
-	hists   []*telemetry.Histogram
+	// Pooled per-batch scratch for dispatch (batch.go), so a batch
+	// allocates only its result. bits backs acc, one row of accept bits
+	// (⌈len(pkts)/64⌉ words) per filter slot, and tailReady, the bits
+	// of the packets whose tail word is filled. tails holds each
+	// packet's zero-padded unaligned final word, eight bytes per
+	// packet; runs each slot's batch accounting; hot lists the slots
+	// that accepted anything, in slot order.
+	bits      []uint64
+	tailReady []uint64
+	tails     []byte
+	runs      []slotRun
+	hot       []hotSlot
 }
 
 func newPacketEnv() *packetEnv {
 	mem := machine.NewMemory()
-	pkt := machine.NewRegion("packet", packetBase, 2048, false)
-	// The tail region is empty (matching nothing) except during
-	// zero-copy dispatch of a packet whose length is not a multiple
-	// of 8; an empty region never overlaps anything.
+	// The packet region aliases the caller's bytes during a run; the
+	// tail region aliases the packet's pooled tail word once it is
+	// filled. Both are empty (matching nothing) in between; an empty
+	// region never overlaps anything.
+	pkt := machine.NewRegion("packet", packetBase, 0, false)
 	tail := machine.NewRegion("packet-tail", packetBase, 0, false)
 	scratch := machine.NewRegion("scratch", scratchBase, policy.ScratchLen, true)
 	mem.MustAddRegion(pkt)
 	mem.MustAddRegion(tail)
 	mem.MustAddRegion(scratch)
-	e := &packetEnv{state: machine.State{Mem: mem}, pkt: pkt, tail: tail, scratch: scratch}
-	e.pktBuf = pkt.Bytes()
-	return e
+	return &packetEnv{state: machine.State{Mem: mem}, pkt: pkt, tail: tail, scratch: scratch, cur: -1}
 }
 
-// setPacketCopy loads the packet into the environment's own backing
-// storage (copy + zero padding to a whole word), the reference layout
-// for pooled dispatch. It always re-aliases the packet region onto the
-// owned buffer, undoing any zero-copy alias a previous batch left.
-func (e *packetEnv) setPacketCopy(data []byte) {
-	padded := (len(data) + 7) &^ 7
-	if cap(e.pktBuf) < padded {
-		e.pktBuf = make([]byte, padded)
+// prepare sizes and clears the pooled batch scratch for n packets and
+// the given number of filter slots, returning the accept bits, the
+// words per slot row, and the per-slot accounting.
+func (e *packetEnv) prepare(n, slots int) (acc []uint64, words int, runs []slotRun) {
+	words = (n + dispatchTile - 1) / dispatchTile
+	if need := words * (slots + 1); cap(e.bits) < need {
+		e.bits = make([]uint64, need)
 	}
-	buf := e.pktBuf[:padded]
-	n := copy(buf, data)
-	for i := n; i < padded; i++ {
-		buf[i] = 0
+	bits := e.bits[:words*(slots+1)]
+	clear(bits)
+	acc, e.tailReady = bits[:words*slots], bits[words*slots:]
+	if cap(e.tails) < 8*n {
+		e.tails = make([]byte, 8*n)
 	}
-	e.pkt.AliasBytes(buf)
-	e.tail.Resize(0)
-	e.tailSrc = nil
+	e.tails = e.tails[:8*n]
+	if cap(e.runs) < slots {
+		e.runs = make([]slotRun, slots)
+		e.hot = make([]hotSlot, 0, slots)
+	}
+	runs = e.runs[:slots] // zero: each batch's flush re-zeroes what it used
+	e.hot = e.hot[:0]
+	return acc, words, runs
 }
 
 // releasePacket drops any zero-copy alias so a pooled environment
 // never pins a caller's packet buffer while idle in the pool.
 func (e *packetEnv) releasePacket() {
-	e.pkt.AliasBytes(e.pktBuf[:0])
-	e.tail.Resize(0)
-	e.tailSrc = nil
+	e.pkt.AliasBytes(nil)
+	e.tail.AliasBytes(nil)
+	e.tailPending = false
+	e.cur = -1
 }
 
-// setPacketAlias maps the packet region directly onto the caller's
-// buffer — no copy — leaving only an unaligned final word (at most 7
-// bytes plus zero padding) to copy into the tail region. The visible
-// address space is byte-identical to setPacketCopy: same words at the
-// same addresses, zero padding to the word boundary, unmapped beyond.
-// The caller's buffer must stay unmodified for the duration of the
-// run; the packet and tail regions are read-only, so validated filters
-// cannot write through the alias.
-func (e *packetEnv) setPacketAlias(data []byte) {
+// setPacket maps packet pi of the batch for a run (a no-op when pi is
+// already mapped), with no copy: the packet region aliases the
+// caller's buffer up to its last whole word, and an unaligned final
+// word (at most 7 bytes plus zero padding) comes from the packet's
+// pooled tail word once that is filled; until then the tail region
+// stays empty and tailPending marks the pending copy. The visible
+// address space is that of a zero-padded copy of the packet:
+// same words at the same addresses, unmapped beyond. The caller's
+// buffer must stay unmodified for the duration of the run; the packet
+// and tail regions are read-only, so validated filters cannot write
+// through the alias.
+func (e *packetEnv) setPacket(pi int, data []byte) {
+	if pi == e.cur {
+		return
+	}
+	e.cur = pi
 	floor := len(data) &^ 7
 	e.pkt.AliasBytes(data[:floor])
 	e.tail.Base = uint64(packetBase) + uint64(floor)
-	e.tail.Clear()
-	if len(data)-floor > 0 {
-		e.tailSrc = data
-	} else {
-		e.tailSrc = nil
+	e.tailPending = false
+	switch {
+	case floor == len(data):
+		e.tail.Clear()
+	case e.tailReady[pi>>6]&(1<<(pi&63)) != 0:
+		e.tail.AliasBytes(e.tails[8*pi : 8*pi+8 : 8*pi+8])
+	default:
+		e.tail.Clear()
+		e.tailPending = true
 	}
 }
 
-// materializeTail copies the pending unaligned final word into the
-// tail region, making the address space byte-identical to
-// setPacketCopy. Called when a filter faults on the tail word (see
-// tailFault); after it runs, the retried filter — and every later
-// filter on the same packet — sees the mapped, zero-padded tail.
-func (e *packetEnv) materializeTail() {
-	src := e.tailSrc
-	floor := len(src) &^ 7
-	e.tail.Resize(len(src) - floor)
-	// At most 7 bytes plus zero padding into the region's one word: an
-	// explicit byte loop beats the general SetBytes (memmove + bounds
-	// machinery) on the profiled dispatch path, where every unaligned
-	// packet materializes its tail eagerly.
-	dst := e.tail.Bytes()
-	tb := src[floor:]
+// fillTail copies packet pi's unaligned final word, zero-padded, into
+// its pooled tail word and marks it ready: every later run over the
+// packet maps it at no further cost.
+func (e *packetEnv) fillTail(pi int, data []byte) {
+	// At most 7 bytes plus zero padding into one word: an explicit byte
+	// loop beats copy's memmove at this size.
+	dst := e.tails[8*pi : 8*pi+8]
+	tb := data[len(data)&^7:]
 	i := 0
 	for ; i < len(tb); i++ {
 		dst[i] = tb[i]
@@ -711,7 +723,18 @@ func (e *packetEnv) materializeTail() {
 	for ; i < len(dst); i++ {
 		dst[i] = 0
 	}
-	e.tailSrc = nil
+	e.tailReady[pi>>6] |= 1 << (pi & 63)
+}
+
+// materializeTail fills the pending tail word of packet pi (whose bytes
+// are data) and maps it, making the address space that of a zero-padded
+// copy. Called when a filter faults on the tail word (see tailFault);
+// after it runs, the retried filter — and every later filter over the
+// same packet — sees the mapped tail.
+func (e *packetEnv) materializeTail(pi int, data []byte) {
+	e.fillTail(pi, data)
+	e.tail.AliasBytes(e.tails[8*pi : 8*pi+8 : 8*pi+8])
+	e.tailPending = false
 }
 
 // tailFault reports whether err is a fault that only happened because
@@ -721,7 +744,7 @@ func (e *packetEnv) materializeTail() {
 // past the padded length, a write that would hit the read-only tail —
 // produces the same error the eager-copy layout would have.
 func (e *packetEnv) tailFault(err error) bool {
-	if e.tailSrc == nil {
+	if !e.tailPending {
 		return false
 	}
 	var mf *machine.MemFault
@@ -731,15 +754,15 @@ func (e *packetEnv) tailFault(err error) bool {
 	return mf.Kind == machine.FaultUnmapped && mf.Addr >= e.tail.Base && mf.Addr < e.tail.Base+8
 }
 
-// reset re-establishes the packet-filter precondition between filters:
+// reset re-establishes the packet-filter precondition between runs:
 // zeroed registers, packet pointer/length in the convention registers.
-// Scratch hygiene is the caller's half of the contract: dispatch loops
-// check dirtyScratch and call wipeScratch before each reset, so each
-// filter observes the same fresh state a dedicated allocation would
-// have given it (scratch contents must not leak between filters).
+// Scratch hygiene is the caller's half of the contract: the dispatch
+// loop checks dirtyScratch and calls wipeScratch before each reset, so
+// each run observes the same fresh state a dedicated allocation would
+// have given it (scratch contents must not leak between runs).
 // Keeping that branch out of reset leaves it inside the inlining
-// budget of the dispatch loops. The packet region itself is read-only
-// to the extension and is loaded once per delivery, not per filter.
+// budget of the dispatch loop. The packet region itself is read-only
+// to the extension; setPacket maps it, without a copy, before each run.
 func (e *packetEnv) reset(pktLen int) {
 	e.state.R = [alpha.NumRegs]uint64{
 		policy.RegPacket:  packetBase,
@@ -773,7 +796,7 @@ func (e *packetEnv) resetLite(pktLen int) {
 
 // wipeScratch zeroes the scratch region, out of line so the common
 // clean-scratch reset stays small enough to inline into the dispatch
-// loops.
+// loop.
 func (e *packetEnv) wipeScratch() {
 	e.scratch.SetBytes(nil) // zero the whole scratch region
 	e.dirtyScratch = false
@@ -781,79 +804,18 @@ func (e *packetEnv) wipeScratch() {
 
 // DeliverPacket runs every installed filter over the packet (with no
 // run-time checks — they are validated) and returns the owners that
-// accepted it. The dispatch path acquires NO lock: it pins an epoch,
-// loads the published filter snapshot once, and iterates its
-// pre-sorted slots — so the accept list comes out sorted with no
-// per-call sort, deliveries proceed concurrently with each other AND
-// with install commits, and a concurrently retired filter stays alive
-// until this delivery unpins. The delivery machine state comes from a
-// sync.Pool: one packet copy per delivery, a register/scratch wipe
-// per filter, no allocation.
+// accepted it, sorted. It is the dispatch loop of DeliverPackets
+// (batch.go) run over a one-packet batch, so it shares that loop's
+// contract — no lock, one snapshot, zero-copy, no allocation beyond
+// the accept list — with its own telemetry stage (StageDispatch) and
+// breaker probation advancing once per delivery.
 func (k *Kernel) DeliverPacket(pkt pktgen.Packet) ([]string, error) {
-	tel := k.tel.Load()
-	eid := k.nextEvent(tel)
-	span := tel.span(telemetry.StageDispatch, "", eid)
-	supervised := k.brkArmed.Load() != 0
-	if supervised {
-		k.breakerTick(eid)
+	pkts := [1][]byte{pkt.Data}
+	var row [1][]string
+	if err := k.dispatch(pkts[:], row[:], telemetry.StageDispatch); err != nil {
+		return nil, err
 	}
-	env := k.statePool.Get().(*packetEnv)
-	defer k.statePool.Put(env)
-	usePool := len(pkt.Data) <= maxPooledPacket
-	if usePool {
-		env.setPacketCopy(pkt.Data)
-	} else {
-		k.flight(telemetry.FlightOversizePacket, "", fmt.Sprintf("len=%d", len(pkt.Data)), eid)
-	}
-	profiling := k.profiling.Load()
-	rec := k.epochs.pin(int(env.shard))
-	defer rec.unpin()
-	t := k.table.Load()
-	sh := &k.stats.shards[env.shard]
-	sh.packets.Add(1)
-	tel.packet()
-	var accepted []string
-	var cycles int64
-	for i := range t.slots {
-		owner, f := t.slots[i].owner, t.slots[i].f
-		var state *machine.State
-		if usePool {
-			if env.dirtyScratch {
-				env.wipeScratch()
-			}
-			env.reset(len(pkt.Data))
-			state = &env.state
-		} else {
-			state = k.packetState(pkt) // oversized packet: fall back to a fresh image
-		}
-		res, wrote, err := runInstalled(f, state, profiling)
-		if usePool && wrote {
-			env.dirtyScratch = true
-		}
-		if err != nil {
-			// A validated extension cannot fault when the kernel meets
-			// the precondition; if it does, the kernel is broken.
-			sh.cycles.Add(cycles)
-			kind := dispatchFaultKind(err)
-			k.flight(kind, owner, err.Error(), eid)
-			k.breakerFault(owner, kind, eid)
-			span.End(err)
-			return nil, fmt.Errorf("kernel: validated filter %q faulted: %w", owner, err)
-		}
-		cycles += res.Cycles
-		ok := res.Ret != 0
-		if ok {
-			accepted = append(accepted, owner)
-			f.accepts.add(int(env.shard), 1)
-		}
-		if supervised {
-			k.breakerClean(owner, eid)
-		}
-		tel.filterRun(owner, res.Cycles, ok)
-	}
-	sh.cycles.Add(cycles)
-	span.End(nil)
-	return accepted, nil
+	return row[0], nil
 }
 
 // packetState builds a freshly allocated precondition-satisfying

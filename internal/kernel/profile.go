@@ -91,18 +91,23 @@ func (fp *filterProfile) getBlockScratch(c *machine.Compiled) *machine.BlockProf
 }
 
 // flushBlocks expands a BlockProfile's per-block counts to per-PC
-// attribution, merges it into the accumulator, and returns the scratch
+// attribution straight into the accumulator, and returns the scratch
 // to the pool. runs is how many RunProfiled calls fed bp since the
 // last flush (faulted runs count, matching the interpreter path's
 // unconditional runs increment).
 func (fp *filterProfile) flushBlocks(bp *machine.BlockProfile, runs int64) {
-	p := fp.scratch.Get().(*machine.Profile)
-	bp.AddTo(p)
-	fp.merge(p, runs)
-	p.Reset()
-	fp.scratch.Put(p)
+	bp.Expand(fp.add)
+	fp.runs.Add(runs)
 	bp.Reset()
 	fp.blockScratch.Put(bp)
+}
+
+// add folds one PC's visits and cycles into the accumulator.
+func (fp *filterProfile) add(pc int, visits, cycles int64) {
+	fp.visits[pc].Add(visits)
+	if cycles != 0 {
+		fp.cycles[pc].Add(cycles)
+	}
 }
 
 // runCompiled executes the threaded-code form with per-block profiling

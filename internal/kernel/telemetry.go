@@ -9,6 +9,7 @@
 package kernel
 
 import (
+	"sync"
 	"time"
 
 	pcc "repro"
@@ -29,9 +30,11 @@ const (
 	// untrusted string — the exposition escapes it).
 	MetricFilterAccepts = "pcc_filter_accepts_total"
 	MetricFilterCycles  = "pcc_filter_cycles_total"
-	// MetricFilterLatency is the per-owner dispatch-latency histogram
-	// family (batch path), on the sub-µs log-scale dispatch buckets so
-	// tail latency per filter is readable, not one giant first bucket.
+	// MetricFilterLatency is the per-owner run-latency histogram
+	// family, on the sub-µs log-scale dispatch buckets. Dispatch feeds
+	// it once per filter per batch: every run of the batch is observed
+	// at the batch's mean run time, so counts and sums are exact and
+	// the buckets show batch-to-batch spread (docs/OBSERVABILITY.md).
 	MetricFilterLatency = "pcc_filter_run_seconds"
 	// Robustness metrics (robust.go): rejections classified by reason
 	// (limit, deadline, panic, proof, quarantine, queue_full) and the
@@ -71,6 +74,8 @@ type telem struct {
 	packets        *telemetry.Counter
 	filters        *telemetry.Gauge
 	quarantined    *telemetry.Gauge
+	// perFilter caches each owner's *filterObs (see filter).
+	perFilter sync.Map
 }
 
 func newTelem(rec *telemetry.Recorder) *telem {
@@ -202,58 +207,52 @@ func (t *telem) setQuarantined(n int) {
 	t.quarantined.Set(int64(n))
 }
 
-// packet counts one delivered packet.
-func (t *telem) packet() {
-	if t == nil {
-		return
-	}
-	t.packets.Inc()
-}
-
-// packetBatch counts a whole delivered batch in one add.
-func (t *telem) packetBatch(n int64) {
+// packetBatch counts a whole delivered batch in one add; now is a
+// recent clock reading in UnixNanos for the counter's window.
+func (t *telem) packetBatch(n, now int64) {
 	if t == nil || n == 0 {
 		return
 	}
-	t.packets.Add(n)
+	t.packets.AddAt(now, n)
 }
 
-// filterRun attributes one filter execution: cycles always, plus the
-// per-filter accept counter when the filter matched. Registration is
-// amortized — after the first packet both lookups are read-locked map
-// hits with no allocation.
-func (t *telem) filterRun(owner string, cycles int64, accepted bool) {
-	if t == nil {
-		return
-	}
-	t.rec.LabeledCounter(MetricFilterCycles, "filter", owner).Add(cycles)
-	if accepted {
-		t.rec.LabeledCounter(MetricFilterAccepts, "filter", owner).Inc()
-	}
+// filterObs is one owner's per-filter dispatch instruments.
+type filterObs struct {
+	cycles, accepts *telemetry.Counter
+	latency         *telemetry.Histogram
 }
 
-// filterHist returns the per-owner dispatch-latency histogram, nil
-// when telemetry is off. Batch dispatch looks it up once per filter
-// per batch and observes per run with no further locking.
-func (t *telem) filterHist(owner string) *telemetry.Histogram {
+// filter returns owner's dispatch instruments, nil when telemetry is
+// off. They are registered with the recorder on first use and cached
+// in the bundle, so dispatch pays one lock-free map load per filter per
+// batch instead of three lookups under the registration lock.
+func (t *telem) filter(owner string) *filterObs {
 	if t == nil {
 		return nil
 	}
-	return t.rec.LabeledHistogram(MetricFilterLatency, "filter", owner, telemetry.DispatchLatencyBounds)
+	if o, ok := t.perFilter.Load(owner); ok {
+		return o.(*filterObs)
+	}
+	o, _ := t.perFilter.LoadOrStore(owner, &filterObs{
+		cycles:  t.rec.LabeledCounter(MetricFilterCycles, "filter", owner),
+		accepts: t.rec.LabeledCounter(MetricFilterAccepts, "filter", owner),
+		latency: t.rec.LabeledHistogram(MetricFilterLatency, "filter", owner, telemetry.DispatchLatencyBounds),
+	})
+	return o.(*filterObs)
 }
 
-// filterRunBatch attributes a whole batch of one filter's executions:
-// two labeled-counter lookups per filter per batch instead of per
-// packet.
-func (t *telem) filterRunBatch(owner string, cycles, accepts int64) {
-	if t == nil {
+// runBatch attributes a whole batch of one filter's runs: its cycles
+// and accepts. now is a recent clock reading in UnixNanos for the
+// counters' windows.
+func (o *filterObs) runBatch(cycles, accepts, now int64) {
+	if o == nil {
 		return
 	}
 	if cycles != 0 {
-		t.rec.LabeledCounter(MetricFilterCycles, "filter", owner).Add(cycles)
+		o.cycles.AddAt(now, cycles)
 	}
 	if accepts != 0 {
-		t.rec.LabeledCounter(MetricFilterAccepts, "filter", owner).Add(accepts)
+		o.accepts.AddAt(now, accepts)
 	}
 }
 

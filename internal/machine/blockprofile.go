@@ -50,6 +50,7 @@ type BlockProfile struct {
 	entries []int64  // fast-path completions per block
 	taken   []int64  // taken-edge count per blockCond (subset of entries)
 	part    *Profile // exact per-PC attribution from slow paths and faults
+	slow    bool     // part holds attribution since the last Reset
 }
 
 // NewBlockProfile returns an empty profile sized for c.
@@ -74,7 +75,10 @@ func (bp *BlockProfile) Reset() {
 		bp.entries[i] = 0
 		bp.taken[i] = 0
 	}
-	bp.part.Reset()
+	if bp.slow {
+		bp.part.Reset()
+		bp.slow = false
+	}
 }
 
 // blockSink implementation: the profiled instantiation of crun.
@@ -88,9 +92,13 @@ func (bp *BlockProfile) condBlock(bi int, taken bool) {
 	}
 }
 
-func (bp *BlockProfile) note(pc int32, cost int64) { bp.part.note(int(pc), cost) }
+func (bp *BlockProfile) note(pc int32, cost int64) {
+	bp.slow = true
+	bp.part.note(int(pc), cost)
+}
 
 func (bp *BlockProfile) partial(bi int, n int32) {
+	bp.slow = true
 	b := &bp.c.blocks[bi]
 	for i := 0; i < int(n); i++ {
 		bp.part.note(int(b.pcs[i]), b.costs[i])
@@ -106,6 +114,17 @@ func (bp *BlockProfile) partial(bi int, n int32) {
 // interpreter's for the same runs. Runs are not tracked here; the
 // caller owns run counting.
 func (bp *BlockProfile) AddTo(p *Profile) {
+	bp.Expand(func(pc int, visits, cycles int64) {
+		p.Visits[pc] += visits
+		p.Cycles[pc] += cycles
+	})
+}
+
+// Expand is AddTo without the intermediate Profile: it calls add with
+// each attributed PC's visits and cycles (a PC may come more than
+// once; the calls sum), so callers can merge straight into their own
+// accumulator.
+func (bp *BlockProfile) Expand(add func(pc int, visits, cycles int64)) {
 	for bi := range bp.c.blocks {
 		e := bp.entries[bi]
 		if e == 0 {
@@ -113,23 +132,22 @@ func (bp *BlockProfile) AddTo(p *Profile) {
 		}
 		b := &bp.c.blocks[bi]
 		for i, pc := range b.pcs {
-			p.Visits[pc] += e
-			p.Cycles[pc] += e * b.costs[i]
+			add(int(pc), e, e*b.costs[i])
 		}
 		switch b.kind {
 		case blockJump, blockRet:
-			p.Visits[b.termPC] += e
-			p.Cycles[b.termPC] += e * b.costTaken
+			add(int(b.termPC), e, e*b.costTaken)
 		case blockCond:
 			t := bp.taken[bi]
-			p.Visits[b.termPC] += e
-			p.Cycles[b.termPC] += t*b.costTaken + (e-t)*b.costNot
+			add(int(b.termPC), e, t*b.costTaken+(e-t)*b.costNot)
 		}
+	}
+	if !bp.slow {
+		return
 	}
 	for pc, v := range bp.part.Visits {
 		if v != 0 {
-			p.Visits[pc] += v
-			p.Cycles[pc] += bp.part.Cycles[pc]
+			add(pc, v, bp.part.Cycles[pc])
 		}
 	}
 }

@@ -703,6 +703,7 @@ func (c *Compiled) RunProfiled(s *State, mode Mode, fuel int, bp *BlockProfile) 
 		panic("machine: RunProfiled: BlockProfile built for a different Compiled")
 	}
 	if s.PC != 0 {
+		bp.slow = true
 		return InterpProfiled(c.prog, s, mode, c.cm, fuel, bp.part)
 	}
 	return crun(c, s, mode, fuel, bp)

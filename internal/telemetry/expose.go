@@ -103,15 +103,15 @@ func snapHistogram(h *Histogram, withBuckets bool) HistogramSnapshot {
 // histogramSet lists every histogram with a stable, sorted name set:
 // the built-in stage histograms plus any dynamically registered ones.
 func (r *Recorder) histogramSet() map[string]*Histogram {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	out := make(map[string]*Histogram, len(r.stageHists)+len(r.hists))
 	for stage, h := range r.stageHists {
 		out["pcc_stage_"+stage+"_seconds"] = h
 	}
-	r.mu.RLock()
 	for name, h := range r.hists {
 		out[name] = h
 	}
-	r.mu.RUnlock()
 	return out
 }
 

@@ -32,7 +32,9 @@ const (
 	// the allocating fallback path.
 	FlightOversizePacket = "oversize_fallback"
 	// FlightBackendFallback: the kernel's backend is compiled but a
-	// filter had no compiled form, so it dispatched interpreted.
+	// filter has no compiled form, so it dispatches interpreted.
+	// Recorded once per transition — when such a filter is published,
+	// or when the breaker demotes one — not once per dispatch.
 	FlightBackendFallback = "backend_fallback"
 	// FlightQuarantine: an owner tripped the rejection threshold and
 	// entered install embargo.

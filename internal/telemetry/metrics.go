@@ -27,13 +27,22 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (callers must keep counters monotonic; deltas are not
 // checked).
-func (c *Counter) Add(n int64) {
+func (c *Counter) Add(n int64) { c.AddAt(0, n) }
+
+// AddAt is Add with the wall clock already read: now is UnixNanos for
+// window attribution, or 0 to read the clock here (and only when a
+// window is attached). Hot paths that already hold a recent clock
+// reading pass it down so the windowed counter costs no extra read.
+func (c *Counter) AddAt(now, n int64) {
 	if c == nil {
 		return
 	}
 	c.n.Add(n)
 	if c.win != nil {
-		c.win.add(time.Now().UnixNano(), -1, n, 0)
+		if now == 0 {
+			now = time.Now().UnixNano()
+		}
+		c.win.add(now, -1, n, 0)
 	}
 }
 
@@ -188,18 +197,19 @@ func (h *Histogram) bucketFor(v float64) int {
 // observe is the single sink: v in bound units, sum in accounting
 // units (nanos or raw), eid the correlation EventID (0 = none).
 func (h *Histogram) observe(v float64, sum int64, eid uint64) {
-	h.observeAt(0, v, sum, eid)
+	h.observeAt(0, v, 1, sum, eid)
 }
 
-// observeAt is observe with the wall clock already read: now is
-// UnixNanos for window attribution, or 0 to read the clock here (and
-// only when a window is attached — the cumulative path never pays for
-// it). Hot loops that already hold a time.Time pass it down so the
-// windowed path costs no extra clock read.
-func (h *Histogram) observeAt(now int64, v float64, sum int64, eid uint64) {
+// observeAt is observe for n observations of v that sum to sum, with
+// the wall clock already read: now is UnixNanos for window
+// attribution, or 0 to read the clock here (and only when a window is
+// attached — the cumulative path never pays for it). Hot loops that
+// already hold a time.Time pass it down so the windowed path costs no
+// extra clock read.
+func (h *Histogram) observeAt(now int64, v float64, n, sum int64, eid uint64) {
 	b := h.bucketFor(v)
-	h.buckets[b].Add(1)
-	h.count.Add(1)
+	h.buckets[b].Add(n)
+	h.count.Add(n)
 	h.sum.Add(sum)
 	if eid != 0 {
 		h.exemplars[b].Store(eid)
@@ -208,7 +218,7 @@ func (h *Histogram) observeAt(now int64, v float64, sum int64, eid uint64) {
 		if now == 0 {
 			now = time.Now().UnixNano()
 		}
-		h.win.add(now, b, 1, sum)
+		h.win.add(now, b, n, sum)
 	}
 }
 
@@ -229,19 +239,18 @@ func (h *Histogram) ObserveEID(d time.Duration, eid uint64) {
 	h.observe(d.Seconds(), d.Nanoseconds(), eid)
 }
 
-// ObserveSinceEID records the elapsed time since t0 with a correlation
-// EventID exemplar, reusing t0's already-read wall clock for window
-// attribution. The per-observation hot path in a windowed recorder
-// then pays zero extra clock reads over the unwindowed one: windows
-// are second-granularity, and a dispatch run lasts microseconds, so
-// stamping the observation at its start instead of its end never moves
-// it by more than one interval edge.
-func (h *Histogram) ObserveSinceEID(t0 time.Time, eid uint64) {
-	if h == nil {
+// ObserveBatchEID records n runs that together took d, each at the
+// batch's mean run time d/n: count grows by n, the sum by d exactly,
+// and the mean's bucket by n, which also takes eid as its one
+// exemplar. The window gets one add of n, stamped at, a clock reading
+// the caller already holds: windows are second-granularity, so any
+// reading taken during the batch lands it in the right interval (or at
+// most one edge off). n <= 0 records nothing.
+func (h *Histogram) ObserveBatchEID(d time.Duration, n int64, eid uint64, at time.Time) {
+	if h == nil || n <= 0 {
 		return
 	}
-	d := time.Since(t0)
-	h.observeAt(t0.UnixNano(), d.Seconds(), d.Nanoseconds(), eid)
+	h.observeAt(at.UnixNano(), d.Seconds()/float64(n), n, d.Nanoseconds(), eid)
 }
 
 // ObserveValue records one raw-unit observation (value histograms).

@@ -119,11 +119,11 @@ func New() *Recorder { return NewWith(Options{}) }
 // NewWith builds a Recorder with the given options.
 func NewWith(o Options) *Recorder {
 	r := &Recorder{
-		start:        time.Now(),
-		trace:        newTrace(o.TraceCapacity),
-		stageHists:   make(map[string]*Histogram, len(Stages)),
-		bounds:       o.Buckets,
-		winOpts:      o.Window,
+		start:         time.Now(),
+		trace:         newTrace(o.TraceCapacity),
+		stageHists:    make(map[string]*Histogram, len(Stages)),
+		bounds:        o.Buckets,
+		winOpts:       o.Window,
 		counters:      map[string]*Counter{},
 		gauges:        map[string]*Gauge{},
 		hists:         map[string]*Histogram{},
@@ -355,11 +355,14 @@ func (r *Recorder) finish(s Span, dur time.Duration, err error) {
 		e.Err = err.Error()
 	}
 	r.trace.add(e)
-	if h := r.stageHists[s.stage]; h != nil {
-		h.ObserveEID(dur, s.event)
-	} else {
-		r.Histogram("pcc_stage_"+s.stage+"_seconds").ObserveEID(dur, s.event)
+	h := r.stageHists[s.stage]
+	if h == nil {
+		h = r.Histogram("pcc_stage_" + s.stage + "_seconds")
 	}
+	// The window is stamped at the span's start, which costs no clock
+	// read; windows are second-granularity, so a span lands in the
+	// right interval or at most one edge off.
+	h.observeAt(s.start.UnixNano(), dur.Seconds(), 1, dur.Nanoseconds(), s.event)
 }
 
 // StartTime returns the recorder's creation time — the wall-clock

@@ -232,3 +232,35 @@ func TestSpanEventPropagation(t *testing.T) {
 		}
 	}
 }
+
+// TestObserveBatch: one batch observation of n runs counts n runs in
+// the bucket of the batch's mean, adds the exact total to the sum,
+// keeps one exemplar, and feeds the window n runs in one add.
+func TestObserveBatch(t *testing.T) {
+	r := NewWith(Options{Window: &WindowOptions{Interval: time.Second, Slots: 5}})
+	h := r.LabeledHistogram("h", "filter", "f", []float64{1e-3, 1})
+	h.ObserveBatchEID(100*time.Millisecond, 64, 42, time.Now()) // mean ~1.6 ms
+	if h.Count() != 64 {
+		t.Fatalf("count = %d, want 64", h.Count())
+	}
+	if h.Sum() != 100*time.Millisecond {
+		t.Fatalf("sum = %v, want the batch's total 100ms", h.Sum())
+	}
+	if c := h.BucketCounts(); c[0] != 0 || c[1] != 64 || c[2] != 0 {
+		t.Fatalf("buckets = %v, want all 64 runs in the mean's bucket", c)
+	}
+	if ex := h.Exemplars(); ex[1] != 42 {
+		t.Fatalf("exemplars = %v, want 42 on the mean's bucket", ex)
+	}
+	if st, _, _ := h.WindowStat(); st.Count != 64 {
+		t.Fatalf("window count = %d, want 64", st.Count)
+	}
+
+	// An empty batch records nothing; a nil histogram is a no-op.
+	h.ObserveBatchEID(time.Millisecond, 0, 43, time.Now())
+	if h.Count() != 64 || h.Exemplars()[0] != 0 {
+		t.Fatalf("empty batch recorded: count %d, exemplars %v", h.Count(), h.Exemplars())
+	}
+	var nilH *Histogram
+	nilH.ObserveBatchEID(time.Millisecond, 5, 1, time.Now())
+}
