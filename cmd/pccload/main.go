@@ -195,14 +195,17 @@ func main() {
 	} else if pol, err = policy.ByName(*polName); err != nil {
 		log.Fatal(err)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	ext, stats, err := pcc.ValidateCtx(ctx, data, pol, nil)
 	if err != nil {
 		log.Fatalf("REJECTED: %v", err)
 	}
+	runtime.ReadMemStats(&after)
 	fmt.Printf("VALIDATED %s against %s\n", flag.Arg(0), pol.Name)
 	fmt.Printf("  binary:       %d bytes\n", stats.BinarySize)
 	fmt.Printf("  validation:   %s (%d LF steps, %.1f KB allocated)\n",
-		stats.Time, stats.CheckSteps, float64(stats.HeapBytes)/1024)
+		stats.Time, stats.CheckSteps, float64(after.TotalAlloc-before.TotalAlloc)/1024)
 	fmt.Printf("  instructions: %d\n", len(ext.Prog))
 
 	if !*run {

@@ -297,18 +297,18 @@ func (a *auditor) recovered(dir string, restored, skipped, stale int, torn bool,
 	)
 }
 
-// breaker records a circuit-breaker state transition for one filter:
-// open (demoted to interpreter), halfopen (compiled on probation),
-// close (re-admitted), or escalate (uninstalled after MaxTrips).
-func (a *auditor) breaker(transition, owner string, trips int, detail string, eid uint64) {
+// demote records a kernel-integrity event: a validated filter's
+// compiled form faulted at dispatch and was demoted to the interpreter
+// (demote.go). Under the trust model the fault is the kernel's, so it
+// is logged at error level and names no producer fault.
+func (a *auditor) demote(owner string, fault error, eid uint64) {
 	if a == nil {
 		return
 	}
-	a.log.Warn("pcc breaker",
-		slog.String("event", "breaker_"+transition),
+	a.log.Error("pcc kernel integrity",
+		slog.String("event", "demote"),
 		slog.Uint64("event_id", eid),
 		slog.String("owner", owner),
-		slog.Int("trips", trips),
-		slog.String("detail", detail),
+		slog.String("fault", fault.Error()),
 	)
 }

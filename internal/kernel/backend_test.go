@@ -189,8 +189,7 @@ func TestInstallFilterWithBackend(t *testing.T) {
 	if err := k.InstallFilterWithBackend(ctx, "i", certFilter(t, k, filters.Filter2), BackendInterp); err != nil {
 		t.Fatal(err)
 	}
-	tb := k.table.Load()
-	cc, ci := tb.slots[tb.index["c"]].c, tb.slots[tb.index["i"]].c
+	cc, ci := compiledForm(k, "c"), compiledForm(k, "i")
 	if cc == nil {
 		t.Fatal("per-install compiled override did not compile")
 	}
@@ -209,8 +208,7 @@ func TestInstallFilterWithBackend(t *testing.T) {
 	if err := k.InstallFilterWithBackend(ctx, "b", bin, BackendCompiled); err != nil {
 		t.Fatal(err)
 	}
-	tb = k.table.Load()
-	ca, cb := tb.slots[tb.index["a"]].c, tb.slots[tb.index["b"]].c
+	ca, cb := compiledForm(k, "a"), compiledForm(k, "b")
 	if ca == nil || ca != cb {
 		t.Fatal("compiled form not shared via the proof-cache slot")
 	}

@@ -67,7 +67,8 @@ var prefetchSink atomic.Uint32
 //     before P, and the filters before F over P.
 //
 // A faulted batch delivers no packet: Stats().Packets does not count
-// any packet of it.
+// any packet of it. A fault in a filter that ran compiled code also
+// demotes that filter to the interpreter (demote.go).
 func (k *Kernel) DeliverPackets(pkts [][]byte) ([][]string, error) {
 	rows := make([][]string, len(pkts))
 	if err := k.dispatch(pkts, rows, telemetry.StageDispatchBatch); err != nil {
@@ -101,12 +102,6 @@ func (k *Kernel) dispatch(pkts [][]byte, rows [][]string, stage string) error {
 	tel := k.tel.Load()
 	eid := k.nextEvent(tel)
 	span := tel.span(stage, "", eid)
-	supervised := k.brkArmed.Load() != 0
-	if supervised {
-		// Probe expired breakers before the snapshot load so a
-		// re-admitted compiled form is visible to this whole batch.
-		k.breakerTick(eid)
-	}
 	env := k.statePool.Get().(*packetEnv)
 	defer k.statePool.Put(env)
 	defer env.releasePacket()
@@ -195,23 +190,17 @@ tiles:
 	sh := &k.stats.shards[env.shard]
 	sh.cycles.Add(totalCycles)
 	if err != nil {
-		owner := slots[faulted].owner
-		kind := dispatchFaultKind(err)
-		k.flight(kind, owner, err.Error(), eid)
-		k.breakerFault(owner, kind, eid)
+		s := &slots[faulted]
+		k.flight(dispatchFaultKind(err), s.owner, err.Error(), eid)
+		if s.c != nil {
+			k.demoteFault(s.owner, s.c, err, eid)
+		}
 		span.End(err)
-		return fmt.Errorf("kernel: validated filter %q faulted: %w", owner, err)
+		return fmt.Errorf("kernel: validated filter %q faulted: %w", s.owner, err)
 	}
 	sh.packets.Add(int64(len(pkts)))
 	if tel != nil {
 		tel.packetBatch(int64(len(pkts)), t0.UnixNano())
-	}
-	if supervised {
-		// The whole batch ran fault-free: one clean observation per
-		// filter (probation progress is per delivery, not per packet).
-		for si := range slots {
-			k.breakerClean(slots[si].owner, eid)
-		}
 	}
 	span.End(nil)
 

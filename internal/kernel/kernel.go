@@ -192,15 +192,6 @@ type Kernel struct {
 	// publish — an acked install is on disk. nil (the default) keeps the
 	// kernel purely in-memory.
 	wal atomic.Pointer[store.Store]
-	// brk is the optional dispatch circuit-breaker supervisor
-	// (breaker.go): per-filter fault accounting that demotes a
-	// repeatedly faulting compiled filter to the interpreter and
-	// re-admits it only after backoff. brkArmed is the hot-path gate:
-	// dispatch consults the breaker only while it is nonzero.
-	brkCfg   atomic.Pointer[BreakerConfig]
-	brkMu    sync.Mutex
-	brk      map[string]*breakerState
-	brkArmed atomic.Int64
 	// statePool recycles packet-delivery machine states so dispatch
 	// does not allocate a fresh memory image per packet per filter.
 	statePool sync.Pool
@@ -504,7 +495,7 @@ func (k *Kernel) commitFilter(owner string, binary []byte, slot *cacheSlot, va *
 		}
 		nt := t.withFilter(owner, ins)
 		var retired []*installed
-		if i, ok := t.index[owner]; ok {
+		if i, ok := t.find(owner); ok {
 			retired = append(retired, t.slots[i].f)
 		}
 		k.publishLocked(nt, retired...)
@@ -520,9 +511,6 @@ func (k *Kernel) commitFilter(owner string, binary []byte, slot *cacheSlot, va *
 		k.noteRejection(owner, installRejectReason(err), eid)
 	} else {
 		k.noteSuccess(owner)
-		// A fresh install is a fresh binary: its breaker history, if
-		// any, belongs to the replaced filter.
-		k.breakerForget(owner)
 	}
 	tel.outcome(err == nil)
 	k.audit.Load().install(va, slot, err)
@@ -807,8 +795,8 @@ func (e *packetEnv) wipeScratch() {
 // accepted it, sorted. It is the dispatch loop of DeliverPackets
 // (batch.go) run over a one-packet batch, so it shares that loop's
 // contract — no lock, one snapshot, zero-copy, no allocation beyond
-// the accept list — with its own telemetry stage (StageDispatch) and
-// breaker probation advancing once per delivery.
+// the accept list, and demotion of a compiled form that faults
+// (demote.go) — with its own telemetry stage (StageDispatch).
 func (k *Kernel) DeliverPacket(pkt pktgen.Packet) ([]string, error) {
 	pkts := [1][]byte{pkt.Data}
 	var row [1][]string

@@ -35,9 +35,7 @@ func TestProfiledCompiledKernelDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range owners {
-		tb := kc.table.Load()
-		compiled := tb.slots[tb.index[o]].c != nil
-		if !compiled {
+		if compiledForm(kc, o) == nil {
 			t.Fatalf("%q lost its compiled form under profiling", o)
 		}
 	}

@@ -192,7 +192,7 @@ func (k *Kernel) FilterProfile(owner string) (*FilterProfileSnapshot, bool) {
 	rec := k.epochs.pin(0)
 	t := k.table.Load()
 	var fp *filterProfile
-	if i, ok := t.index[owner]; ok {
+	if i, ok := t.find(owner); ok {
 		fp = t.slots[i].f.prof
 	}
 	rec.unpin()

@@ -183,7 +183,8 @@ func TestEpochGraceDefersPoison(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := k.table.Load()
-	removed := old.slots[old.index["a"]].f
+	i, _ := old.find("a")
+	removed := old.slots[i].f
 
 	rec := k.epochs.pin(0) // a dispatch that loaded `old` and is still running
 	k.UninstallFilter("a")
@@ -191,7 +192,7 @@ func TestEpochGraceDefersPoison(t *testing.T) {
 		t.Fatal("uninstall retired nothing while a reader was pinned")
 	}
 	k.epochs.reclaim()
-	if old.index == nil || old.slots[0].f == nil {
+	if old.accepts == nil || old.slots[0].f == nil {
 		t.Fatal("retired snapshot poisoned while a reader could still hold it")
 	}
 	if removed.ext == nil {
@@ -203,7 +204,7 @@ func TestEpochGraceDefersPoison(t *testing.T) {
 	if n := retiredLen(k); n != 0 {
 		t.Fatalf("%d retired objects left after the reader unpinned", n)
 	}
-	if old.index != nil || old.accepts != nil || old.slots[0].f != nil {
+	if old.accepts != nil || old.slots[0].f != nil {
 		t.Fatal("reclaimed snapshot not poisoned")
 	}
 	if removed.ext != nil || removed.compiled != nil {

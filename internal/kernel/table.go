@@ -34,9 +34,9 @@ type filterTable struct {
 	// gen increments on every publication; deliveries can use it to
 	// tell whether two loads saw the same snapshot.
 	gen uint64
-	// slots, sorted by owner; index maps owner -> slot position.
+	// slots, sorted by owner (find looks an owner up by binary
+	// search).
 	slots []tableSlot
-	index map[string]int
 	// accepts carries the persistent per-owner accept counters —
 	// including owners whose filter was uninstalled — from snapshot to
 	// snapshot, so Accepts stays lock-free too.
@@ -46,7 +46,6 @@ type filterTable struct {
 func newFilterTable() *filterTable {
 	return &filterTable{
 		gen:     1,
-		index:   map[string]int{},
 		accepts: map[string]*ownerCounter{},
 	}
 }
@@ -62,30 +61,25 @@ func makeSlot(owner string, f *installed) tableSlot {
 	}
 }
 
-// clone copies the snapshot's structure (slots, index, accepts map);
-// the installed filters themselves are shared with the original.
+// find returns the position of owner's slot, or the position it
+// would be inserted at and false.
+func (t *filterTable) find(owner string) (int, bool) {
+	i := sort.Search(len(t.slots), func(i int) bool { return t.slots[i].owner >= owner })
+	return i, i < len(t.slots) && t.slots[i].owner == owner
+}
+
+// clone copies the snapshot's structure (slots, accepts map); the
+// installed filters themselves are shared with the original.
 func (t *filterTable) clone() *filterTable {
 	nt := &filterTable{
 		gen:     t.gen + 1,
 		slots:   append([]tableSlot(nil), t.slots...),
-		index:   make(map[string]int, len(t.index)+1),
 		accepts: make(map[string]*ownerCounter, len(t.accepts)+1),
-	}
-	for o, i := range t.index {
-		nt.index[o] = i
 	}
 	for o, c := range t.accepts {
 		nt.accepts[o] = c
 	}
 	return nt
-}
-
-// reindex rebuilds the owner index after slot positions changed.
-func (t *filterTable) reindex() {
-	t.index = make(map[string]int, len(t.slots))
-	for i, sl := range t.slots {
-		t.index[sl.owner] = i
-	}
 }
 
 // withFilter returns a copy of the snapshot with owner's filter set
@@ -96,15 +90,14 @@ func (t *filterTable) withFilter(owner string, f *installed) *filterTable {
 	nt := t.clone()
 	nt.accepts[owner] = f.accepts
 	sl := makeSlot(owner, f)
-	if i, ok := nt.index[owner]; ok {
-		nt.slots[i] = sl
+	pos, ok := nt.find(owner)
+	if ok {
+		nt.slots[pos] = sl
 		return nt
 	}
-	pos := sort.Search(len(nt.slots), func(i int) bool { return nt.slots[i].owner >= owner })
 	nt.slots = append(nt.slots, tableSlot{})
 	copy(nt.slots[pos+1:], nt.slots[pos:])
 	nt.slots[pos] = sl
-	nt.reindex()
 	return nt
 }
 
@@ -112,14 +105,13 @@ func (t *filterTable) withFilter(owner string, f *installed) *filterTable {
 // removed (the persistent accept counter stays). The removed filter,
 // if any, is returned for retirement.
 func (t *filterTable) withoutFilter(owner string) (*filterTable, *installed) {
-	i, ok := t.index[owner]
+	i, ok := t.find(owner)
 	if !ok {
 		return t, nil
 	}
 	removed := t.slots[i].f
 	nt := t.clone()
 	nt.slots = append(nt.slots[:i], nt.slots[i+1:]...)
-	nt.reindex()
 	return nt, removed
 }
 
@@ -162,7 +154,6 @@ func (k *Kernel) publishLocked(nt *filterTable, retired ...*installed) {
 		for i := range ot.slots {
 			ot.slots[i] = tableSlot{}
 		}
-		ot.index = nil
 		ot.accepts = nil
 	})
 	for _, f := range retired {

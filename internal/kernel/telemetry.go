@@ -41,11 +41,10 @@ const (
 	// count of currently embargoed producers.
 	MetricRejects         = "pcc_rejects_total"
 	MetricQuarantineGauge = "pcc_quarantined_owners"
-	// MetricBreakerState is the per-filter circuit-breaker state gauge
-	// family (breaker.go): 0 closed, 1 open (demoted to interpreter),
-	// 2 half-open (compiled on probation). Labeled by the owner — an
-	// untrusted string the exposition escapes.
-	MetricBreakerState = "pcc_breaker_state"
+	// MetricDemotions counts compiled forms demoted to the interpreter
+	// after a dispatch fault (demote.go): kernel-integrity events,
+	// unlabeled so its cost does not grow with owner history.
+	MetricDemotions = "pcc_dispatch_demotions_total"
 	// Certificate-cost value histograms (raw units, not seconds): the
 	// proof's size on the wire in bytes and the generated VC's term
 	// size in LF nodes, observed once per full (non-cached) successful
@@ -74,6 +73,7 @@ type telem struct {
 	packets        *telemetry.Counter
 	filters        *telemetry.Gauge
 	quarantined    *telemetry.Gauge
+	demotions      *telemetry.Counter
 	// perFilter caches each owner's *filterObs (see filter).
 	perFilter sync.Map
 }
@@ -89,6 +89,7 @@ func newTelem(rec *telemetry.Recorder) *telem {
 		packets:        rec.Counter(MetricPackets),
 		filters:        rec.Gauge(MetricFiltersGauge),
 		quarantined:    rec.Gauge(MetricQuarantineGauge),
+		demotions:      rec.Counter(MetricDemotions),
 	}
 }
 
@@ -189,14 +190,12 @@ func (t *telem) reject(reason string) {
 	t.rec.LabeledCounter(MetricRejects, "reason", reason).Inc()
 }
 
-// setBreakerState publishes one filter's breaker-state gauge (0
-// closed, 1 open, 2 half-open). Transitions are rare (fault-driven),
-// so the registration-lock lookup is fine here.
-func (t *telem) setBreakerState(owner string, state int) {
+// demoted counts one compiled form demoted after a dispatch fault.
+func (t *telem) demoted() {
 	if t == nil {
 		return
 	}
-	t.rec.LabeledGauge(MetricBreakerState, "filter", owner).Set(int64(state))
+	t.demotions.Inc()
 }
 
 // setQuarantined publishes the embargoed-producer count gauge.

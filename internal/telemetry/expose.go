@@ -55,9 +55,6 @@ type Snapshot struct {
 	// LabeledHistograms maps family -> label value -> histogram for
 	// labeled histogram families (e.g. per-filter dispatch latency).
 	LabeledHistograms map[string]map[string]HistogramSnapshot `json:"labeled_histograms,omitempty"`
-	// LabeledGauges maps family -> label value -> value for labeled
-	// gauge families (e.g. per-filter breaker state).
-	LabeledGauges map[string]map[string]int64 `json:"labeled_gauges,omitempty"`
 	// Rates maps counter name -> events/sec over the sliding window;
 	// LabeledRates is the same per label value. Present only on
 	// recorders built with Options.Window.
@@ -175,16 +172,6 @@ func (r *Recorder) Snapshot(withBuckets bool) Snapshot {
 			s.LabeledHistograms[fam] = vals
 		}
 	}
-	if len(r.labeledGauges) > 0 {
-		s.LabeledGauges = map[string]map[string]int64{}
-		for fam, lf := range r.labeledGauges {
-			vals := make(map[string]int64, len(lf.vals))
-			for v, g := range lf.vals {
-				vals[v] = g.Value()
-			}
-			s.LabeledGauges[fam] = vals
-		}
-	}
 	r.mu.RUnlock()
 	for name, h := range r.histogramSet() {
 		s.Histograms[name] = snapHistogram(h, withBuckets)
@@ -229,20 +216,6 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 		}
 		sort.Strings(vals)
 		text := fmt.Sprintf("# TYPE %s counter\n", fam)
-		for _, v := range vals {
-			// Label values are untrusted (filter owner names); escape
-			// them so the page stays parseable.
-			text += fmt.Sprintf("%s{%s=\"%s\"} %d\n", fam, lf.key, EscapeLabelValue(v), lf.vals[v].Value())
-		}
-		lines = append(lines, line{fam, text})
-	}
-	for fam, lf := range r.labeledGauges {
-		vals := make([]string, 0, len(lf.vals))
-		for v := range lf.vals {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals)
-		text := fmt.Sprintf("# TYPE %s gauge\n", fam)
 		for _, v := range vals {
 			// Label values are untrusted (filter owner names); escape
 			// them so the page stays parseable.

@@ -31,10 +31,11 @@ const (
 	// FlightOversizePacket: a packet exceeded the pooled arena and took
 	// the allocating fallback path.
 	FlightOversizePacket = "oversize_fallback"
-	// FlightBackendFallback: the kernel's backend is compiled but a
-	// filter has no compiled form, so it dispatches interpreted.
-	// Recorded once per transition — when such a filter is published,
-	// or when the breaker demotes one — not once per dispatch.
+	// FlightBackendFallback: a filter dispatches interpreted although
+	// it was meant to run compiled. Recorded once per transition — when
+	// a filter with no compiled form is published under the compiled
+	// backend, and on every demotion of a compiled form that faulted
+	// at dispatch — not once per dispatch.
 	FlightBackendFallback = "backend_fallback"
 	// FlightQuarantine: an owner tripped the rejection threshold and
 	// entered install embargo.
@@ -42,15 +43,6 @@ const (
 	// FlightConfigChange: SetBackend/SetProfiling/SetLimits/
 	// SetQuarantine changed the kernel's posture.
 	FlightConfigChange = "config_change"
-	// FlightBreakerOpen: a filter's fault circuit breaker tripped — the
-	// compiled form was demoted to the interpreter pending backoff.
-	FlightBreakerOpen = "breaker_open"
-	// FlightBreakerHalfOpen: an open breaker's backoff elapsed and the
-	// filter was re-promoted to its compiled form on probation.
-	FlightBreakerHalfOpen = "breaker_halfopen"
-	// FlightBreakerClose: a half-open breaker survived its probation
-	// dispatches fault-free and closed.
-	FlightBreakerClose = "breaker_close"
 	// FlightRecoverySkip: boot-time recovery skipped a journal record —
 	// corrupt framing, out-of-order splice, or a blob the validation
 	// pipeline rejected (disk is an untrusted producer).

@@ -94,46 +94,6 @@ func (r *Recorder) LabeledHistogram(family, labelKey, labelValue string, bounds 
 	return h
 }
 
-// labeledGaugeFamily is one gauge family keyed by the values of a
-// single label (e.g. pcc_breaker_state{filter=...}).
-type labeledGaugeFamily struct {
-	key  string
-	vals map[string]*Gauge
-}
-
-// LabeledGauge returns the gauge for one (family, labelValue) pair,
-// registering the family (with its label key) and the value's gauge on
-// first use. The first registration fixes the family's label key.
-// Returns nil (a valid no-op gauge) for a nil recorder. Hot paths must
-// cache the returned pointer — the lookup takes the registration lock.
-func (r *Recorder) LabeledGauge(family, labelKey, labelValue string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	lf := r.labeledGauges[family]
-	var g *Gauge
-	if lf != nil {
-		g = lf.vals[labelValue]
-	}
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lf = r.labeledGauges[family]
-	if lf == nil {
-		lf = &labeledGaugeFamily{key: labelKey, vals: map[string]*Gauge{}}
-		r.labeledGauges[family] = lf
-	}
-	if g = lf.vals[labelValue]; g == nil {
-		g = &Gauge{}
-		lf.vals[labelValue] = g
-	}
-	return g
-}
-
 // labelEscaper implements the Prometheus text exposition escaping for
 // label values: backslash, double quote, and line feed.
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)

@@ -40,8 +40,9 @@ func TestLabeledCounterExposition(t *testing.T) {
 
 // TestLabelEscaping: filter names carrying quotes, backslashes, and
 // newlines — all installable owner strings — must still produce valid
-// Prometheus text: every sample on one line, label values correctly
-// escaped.
+// Prometheus text in every labeled family (counters and histograms):
+// every sample on one line, label values correctly escaped, and no
+// metric line smuggled onto the page.
 func TestLabelEscaping(t *testing.T) {
 	r := New()
 	hostile := []string{
@@ -49,9 +50,11 @@ func TestLabelEscaping(t *testing.T) {
 		`back\slash`,
 		"new\nline",
 		"all\\three\"at\nonce",
+		`evil"}` + "\nfake_metric 1",
 	}
 	for _, name := range hostile {
 		r.LabeledCounter("pcc_filter_cycles_total", "filter", name).Add(5)
+		r.LabeledHistogram("pcc_filter_run_seconds", "filter", name, nil).Observe(time.Microsecond)
 	}
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -64,6 +67,8 @@ func TestLabelEscaping(t *testing.T) {
 		`pcc_filter_cycles_total{filter="back\\slash"} 5`,
 		`pcc_filter_cycles_total{filter="new\nline"} 5`,
 		`pcc_filter_cycles_total{filter="all\\three\"at\nonce"} 5`,
+		`pcc_filter_cycles_total{filter="evil\"}\nfake_metric 1"} 5`,
+		`pcc_filter_run_seconds_count{filter="evil\"}\nfake_metric 1"} 1`,
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("exposition missing escaped sample %q:\n%s", want, page)
@@ -73,7 +78,8 @@ func TestLabelEscaping(t *testing.T) {
 	// Every line on the page must be a comment or a well-formed
 	// sample; a raw newline or quote in a label value would break
 	// this.
-	sample := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_]+="(\\.|[^"\\])*"\})? -?[0-9.eE+-]+(Inf)?$`)
+	label := `[a-zA-Z_]+="(\\.|[^"\\])*"`
+	sample := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{` + label + `(,` + label + `)*\})? -?[0-9.eE+-]+(Inf)?$`)
 	for _, ln := range strings.Split(strings.TrimSuffix(page, "\n"), "\n") {
 		if strings.HasPrefix(ln, "#") {
 			continue
@@ -81,59 +87,6 @@ func TestLabelEscaping(t *testing.T) {
 		if !sample.MatchString(ln) {
 			t.Errorf("invalid exposition line %q", ln)
 		}
-	}
-}
-
-// TestLabeledGaugeExposition: labeled gauge families (breaker state)
-// expose one sample per label value under a gauge TYPE header, land in
-// the JSON snapshot, survive hostile label values, and keep gauge
-// identity across lookups (Set, not accumulate).
-func TestLabeledGaugeExposition(t *testing.T) {
-	r := New()
-	r.LabeledGauge("pcc_breaker_state", "filter", "b").Set(1)
-	r.LabeledGauge("pcc_breaker_state", "filter", "a").Set(2)
-	r.LabeledGauge("pcc_breaker_state", "filter", "a").Set(0)
-	hostile := `evil"}` + "\nfake_metric 1"
-	r.LabeledGauge("pcc_breaker_state", "filter", hostile).Set(1)
-	if got := r.LabeledGauge("pcc_breaker_state", "filter", "a").Value(); got != 0 {
-		t.Fatalf("gauge identity lost across lookups: %d", got)
-	}
-
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	page := buf.String()
-	for _, want := range []string{
-		`pcc_breaker_state{filter="a"} 0`,
-		`pcc_breaker_state{filter="b"} 1`,
-		`pcc_breaker_state{filter="evil\"}\nfake_metric 1"} 1`,
-	} {
-		if !strings.Contains(page, want) {
-			t.Errorf("exposition missing %q:\n%s", want, page)
-		}
-	}
-	if strings.Count(page, "# TYPE pcc_breaker_state gauge") != 1 {
-		t.Fatalf("family must have exactly one TYPE header:\n%s", page)
-	}
-	// The hostile owner must not have smuggled a fresh metric line onto
-	// the page: "fake_metric" may appear only inside a quoted label.
-	for _, ln := range strings.Split(page, "\n") {
-		if strings.HasPrefix(ln, "fake_metric") {
-			t.Fatalf("hostile label value escaped into a metric line: %q", ln)
-		}
-	}
-
-	snap := r.Snapshot(false)
-	if snap.LabeledGauges["pcc_breaker_state"]["b"] != 1 {
-		t.Fatalf("snapshot missing labeled gauges: %+v", snap.LabeledGauges)
-	}
-
-	var nr *Recorder
-	g := nr.LabeledGauge("f", "k", "v")
-	g.Set(3)
-	if g.Value() != 0 {
-		t.Fatal("nil recorder produced a live gauge")
 	}
 }
 

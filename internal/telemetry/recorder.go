@@ -104,13 +104,12 @@ type Recorder struct {
 	// by name). The lock guards registration only; the returned
 	// instruments are lock-free. Callers on hot paths cache the
 	// pointers.
-	mu            sync.RWMutex
-	counters      map[string]*Counter
-	gauges        map[string]*Gauge
-	hists         map[string]*Histogram
-	labeled       map[string]*labeledFamily
-	labeledHists  map[string]*labeledHistFamily
-	labeledGauges map[string]*labeledGaugeFamily
+	mu           sync.RWMutex
+	counters     map[string]*Counter
+	gauges       map[string]*Gauge
+	hists        map[string]*Histogram
+	labeled      map[string]*labeledFamily
+	labeledHists map[string]*labeledHistFamily
 }
 
 // New builds a Recorder with default options.
@@ -119,17 +118,16 @@ func New() *Recorder { return NewWith(Options{}) }
 // NewWith builds a Recorder with the given options.
 func NewWith(o Options) *Recorder {
 	r := &Recorder{
-		start:         time.Now(),
-		trace:         newTrace(o.TraceCapacity),
-		stageHists:    make(map[string]*Histogram, len(Stages)),
-		bounds:        o.Buckets,
-		winOpts:       o.Window,
-		counters:      map[string]*Counter{},
-		gauges:        map[string]*Gauge{},
-		hists:         map[string]*Histogram{},
-		labeled:       map[string]*labeledFamily{},
-		labeledHists:  map[string]*labeledHistFamily{},
-		labeledGauges: map[string]*labeledGaugeFamily{},
+		start:        time.Now(),
+		trace:        newTrace(o.TraceCapacity),
+		stageHists:   make(map[string]*Histogram, len(Stages)),
+		bounds:       o.Buckets,
+		winOpts:      o.Window,
+		counters:     map[string]*Counter{},
+		gauges:       map[string]*Gauge{},
+		hists:        map[string]*Histogram{},
+		labeled:      map[string]*labeledFamily{},
+		labeledHists: map[string]*labeledHistFamily{},
 	}
 	for _, s := range Stages {
 		b := o.Buckets

@@ -187,8 +187,6 @@ type ValidationStats struct {
 	// ProofNodes is the size (in LF term nodes) of the decoded proof
 	// term, the in-memory counterpart of ProofBytes.
 	ProofNodes int
-	// HeapBytes approximates the heap cost of validation.
-	HeapBytes uint64
 	// BinarySize is the total PCC binary size in bytes.
 	BinarySize int
 }
@@ -267,8 +265,6 @@ func ValidateCtx(ctx context.Context, binary []byte, pol *policy.Policy, lim *Li
 			Axis: "binary_bytes", Actual: int64(len(binary)), Max: int64(limits.MaxBinaryBytes)}
 	}
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	start := time.Now()
 	stats := &ValidationStats{BinarySize: len(binary)}
 
@@ -385,8 +381,6 @@ func ValidateCtx(ctx context.Context, binary []byte, pol *policy.Policy, lim *Li
 	}
 
 	stats.Time = time.Since(start)
-	runtime.ReadMemStats(&after)
-	stats.HeapBytes = after.TotalAlloc - before.TotalAlloc
 	stats.CheckSteps = checker.Steps
 	return &Extension{Prog: prog, Policy: pol}, stats, nil
 }

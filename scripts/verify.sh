@@ -55,6 +55,7 @@ for metric in \
 	pcc_cache_evictions_total \
 	pcc_packets_total \
 	pcc_filters_installed \
+	pcc_dispatch_demotions_total \
 	pcc_stage_vcgen_seconds_count \
 	pcc_stage_lfcheck_seconds_count \
 	pcc_stage_wcet_seconds_count \
@@ -91,6 +92,8 @@ curl -fsS http://127.0.0.1:16996/metrics | grep -c pcc_filter_cycles_total >/dev
 	{ echo "serve smoke: /metrics missing per-filter cycles" >&2; exit 1; }
 curl -fsS http://127.0.0.1:16996/metrics | grep -c pcc_quarantined_owners >/dev/null ||
 	{ echo "serve smoke: /metrics missing quarantine gauge" >&2; exit 1; }
+curl -fsS http://127.0.0.1:16996/metrics | grep -q '^pcc_dispatch_demotions_total 0$' ||
+	{ echo "serve smoke: /metrics missing the demotions counter at 0" >&2; exit 1; }
 curl -fsS http://127.0.0.1:16996/debug/vars | grep -c quarantined >/dev/null ||
 	{ echo "serve smoke: /debug/vars missing quarantined set" >&2; exit 1; }
 curl -fsS 'http://127.0.0.1:16996/profile/Filter%201' | grep -c RET >/dev/null ||
