@@ -200,10 +200,10 @@ func main() {
 // With nothing abnormal in the run the timeline is just the config
 // changes — which is itself the finding.
 func reportFlightRecorder(fr *telemetry.FlightRecorder) {
-	evs := fr.Events()
+	snap := fr.Snapshot()
 	fmt.Printf("\n== flight recorder (%d events retained, %d recorded, %d dropped) ==\n",
-		len(evs), fr.Appended(), fr.Dropped())
-	for _, e := range evs {
+		len(snap.Events), snap.Appended, snap.Dropped)
+	for _, e := range snap.Events {
 		owner := e.Owner
 		if owner == "" {
 			owner = "-"
@@ -259,18 +259,18 @@ func reportTelemetry(rec *telemetry.Recorder, slowest int, traceOut string) {
 	}
 
 	if traceOut != "" {
+		snap := rec.Trace().Snapshot()
 		f, err := os.Create(traceOut)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := rec.Trace().WriteJSONL(f); err != nil {
+		if err := snap.WriteJSONL(f); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		tr := rec.Trace()
 		fmt.Printf("\nwrote %d spans to %s (%d recorded, %d dropped by the ring)\n",
-			len(tr.Events()), traceOut, tr.Appended(), tr.Dropped())
+			len(snap.Events), traceOut, snap.Appended, snap.Dropped)
 	}
 }

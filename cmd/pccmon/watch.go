@@ -50,7 +50,7 @@ func renderWatch(doc *varsDoc) string {
 	var b strings.Builder
 	s := &doc.Telemetry
 	fmt.Fprintf(&b, "tenant %s  up %s  packets %d\n",
-		doc.Tenant, (time.Duration(doc.UptimeSeconds)*time.Second).Round(time.Second), doc.TrafficPackets)
+		doc.Tenant, (time.Duration(doc.UptimeSeconds) * time.Second).Round(time.Second), doc.TrafficPackets)
 	fmt.Fprintf(&b, "  installs/s %8.1f   rejects/s %8.1f   packets/s %10.1f\n",
 		s.Rates[kernel.MetricInstalled], s.Rates[kernel.MetricRejected], s.Rates[kernel.MetricPackets])
 

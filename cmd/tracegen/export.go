@@ -2,8 +2,8 @@
 // generated trace through a fully observed kernel and writes the three
 // observability streams side by side —
 //
-//	DIR/spans.jsonl   telemetry span ring (telemetry.ReadJSONL)
-//	DIR/audit.jsonl   audit-record ring (telemetry.ReadAuditJSONL)
+//	DIR/spans.jsonl   telemetry span ring (telemetry.ReadJSONL[telemetry.Event])
+//	DIR/audit.jsonl   audit-record ring (telemetry.ReadJSONL[telemetry.AuditRecord])
 //	DIR/flight.json   flight-recorder snapshot (telemetry.FlightSnapshot)
 //
 // Every record carries the kernel's correlation EventID, so the files
@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"io"
 	"log/slog"
 	"os"
@@ -79,11 +78,7 @@ func exportStreams(dir string, pkts []pktgen.Packet) error {
 	if err := writeTo(filepath.Join(dir, "audit.jsonl"), ring.WriteJSONL); err != nil {
 		return err
 	}
-	return writeTo(filepath.Join(dir, "flight.json"), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(fr.Snapshot())
-	})
+	return writeTo(filepath.Join(dir, "flight.json"), fr.WriteJSON)
 }
 
 // writeTo creates path and streams write into it.

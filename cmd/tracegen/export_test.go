@@ -26,7 +26,7 @@ func TestExportStreamsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sf.Close()
-	spans, err := telemetry.ReadJSONL(sf)
+	spans, err := telemetry.ReadJSONL[telemetry.Event](sf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestExportStreamsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer af.Close()
-	audit, err := telemetry.ReadAuditJSONL(af)
+	audit, err := telemetry.ReadJSONL[telemetry.AuditRecord](af)
 	if err != nil {
 		t.Fatal(err)
 	}

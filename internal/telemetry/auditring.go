@@ -1,4 +1,4 @@
-// Audit ring: a fixed-capacity lock-free ring of the most recent
+// Audit ring: a fixed-capacity lock-free Ring of the most recent
 // structured audit records, captured via a slog.Handler that tees into
 // the ring while forwarding to the configured sink (a JSON file,
 // stderr). The audit log is the durable stream; the ring is the
@@ -9,11 +9,8 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"log/slog"
-	"sort"
-	"sync/atomic"
 )
 
 // AuditRecord is one captured audit decision, flattened for joining:
@@ -35,84 +32,31 @@ type AuditRecord struct {
 // DefaultAuditRingCapacity is the ring size used when capacity <= 0.
 const DefaultAuditRingCapacity = 1024
 
-// AuditRing is the record ring. Appends are lock-free (one atomic
-// counter claims a slot, one atomic pointer store publishes); when
-// full, the oldest records are overwritten. A nil *AuditRing is a
-// valid no-op sink.
-type AuditRing struct {
-	slots []atomic.Pointer[AuditRecord]
-	next  atomic.Uint64
-}
+// AuditRing is the record Ring; when full, the oldest records are
+// overwritten. A nil *AuditRing is a valid no-op sink.
+type AuditRing Ring[AuditRecord]
 
 // NewAuditRing builds a ring holding up to capacity records.
 func NewAuditRing(capacity int) *AuditRing {
-	if capacity <= 0 {
-		capacity = DefaultAuditRingCapacity
-	}
-	return &AuditRing{slots: make([]atomic.Pointer[AuditRecord], capacity)}
+	return (*AuditRing)(newRing[AuditRecord](capacity, DefaultAuditRingCapacity))
 }
 
-// add appends one record, overwriting the oldest when full.
-func (r *AuditRing) add(rec *AuditRecord) {
+func (r *AuditRing) ring() *Ring[AuditRecord] { return (*Ring[AuditRecord])(r) }
+
+// add appends one record, stamped with its ring sequence.
+func (r *AuditRing) add(rec AuditRecord) {
 	if r == nil {
 		return
 	}
-	rec.Seq = r.next.Add(1) - 1
-	r.slots[rec.Seq%uint64(len(r.slots))].Store(rec)
+	rec.Seq = r.ring().claim()
+	r.ring().publish(rec.Seq, rec)
 }
 
-// Appended returns the total number of records ever captured.
-func (r *AuditRing) Appended() int64 {
-	if r == nil {
-		return 0
-	}
-	return int64(r.next.Load())
-}
-
-// Records snapshots the ring's current contents, oldest first (same
-// per-slot-atomic contract as the span and flight rings).
-func (r *AuditRing) Records() []AuditRecord {
-	if r == nil {
-		return nil
-	}
-	out := make([]AuditRecord, 0, len(r.slots))
-	for i := range r.slots {
-		if rec := r.slots[i].Load(); rec != nil {
-			out = append(out, *rec)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
-// WriteJSONL writes the ring's records as JSON-lines, oldest first.
-func (r *AuditRing) WriteJSONL(w io.Writer) error {
-	for _, rec := range r.Records() {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(b, '\n')); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadAuditJSONL decodes a JSON-lines audit-ring export (the inverse
-// of WriteJSONL); blank lines are skipped.
-func ReadAuditJSONL(rd io.Reader) ([]AuditRecord, error) {
-	var out []AuditRecord
-	dec := json.NewDecoder(rd)
-	for dec.More() {
-		var rec AuditRecord
-		if err := dec.Decode(&rec); err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
+// Appended, Records, Snapshot and WriteJSONL read the ring (see Ring).
+func (r *AuditRing) Appended() int64                     { return r.ring().Appended() }
+func (r *AuditRing) Records() []AuditRecord              { return r.ring().Events() }
+func (r *AuditRing) Snapshot() RingSnapshot[AuditRecord] { return r.ring().Snapshot() }
+func (r *AuditRing) WriteJSONL(w io.Writer) error        { return r.ring().WriteJSONL(w) }
 
 // Handler returns a slog.Handler that captures every record into the
 // ring and then forwards to next (nil next = capture only). Wire it
@@ -138,21 +82,21 @@ func (h *auditHandler) Enabled(ctx context.Context, lvl slog.Level) bool {
 }
 
 func (h *auditHandler) Handle(ctx context.Context, rec slog.Record) error {
-	ar := &AuditRecord{
+	ar := AuditRecord{
 		TimeUnixNanos: rec.Time.UnixNano(),
 		Level:         rec.Level.String(),
 		Msg:           rec.Message,
 		Attrs:         map[string]string{},
 	}
 	for _, a := range h.prefix {
-		flattenAttr(ar, "", a)
+		flattenAttr(&ar, "", a)
 	}
 	prefix := ""
 	for _, g := range h.groups {
 		prefix += g + "."
 	}
 	rec.Attrs(func(a slog.Attr) bool {
-		flattenAttr(ar, prefix, a)
+		flattenAttr(&ar, prefix, a)
 		return true
 	})
 	h.ring.add(ar)

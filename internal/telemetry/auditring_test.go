@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"log/slog"
-	"sync"
 	"testing"
 )
 
@@ -86,7 +85,7 @@ func TestAuditRingWrapAndJSONL(t *testing.T) {
 	if err := ring.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadAuditJSONL(&buf)
+	back, err := ReadJSONL[AuditRecord](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,38 +97,11 @@ func TestAuditRingWrapAndJSONL(t *testing.T) {
 // TestAuditRingNil: a nil ring is a silent no-op sink.
 func TestAuditRingNil(t *testing.T) {
 	var ring *AuditRing
-	ring.add(&AuditRecord{})
+	ring.add(AuditRecord{})
 	if ring.Appended() != 0 || ring.Records() != nil {
 		t.Fatal("nil ring must be inert")
 	}
 	if err := ring.WriteJSONL(io.Discard); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAuditRingConcurrent: racing writers against a snapshotting
-// reader under -race; Seq stays strictly increasing in every snapshot.
-func TestAuditRingConcurrent(t *testing.T) {
-	ring := NewAuditRing(32)
-	log := slog.New(ring.Handler(nil))
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				log.Info("m", slog.Uint64("event_id", uint64(i)))
-				recs := ring.Records()
-				for j := 1; j < len(recs); j++ {
-					if recs[j].Seq <= recs[j-1].Seq {
-						panic("audit ring snapshot out of order")
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if ring.Appended() != 2400 {
-		t.Fatalf("appended = %d, want 2400", ring.Appended())
 	}
 }

@@ -1,4 +1,4 @@
-// Dispatch flight recorder: a fixed-capacity lock-free ring of the
+// Dispatch flight recorder: a fixed-capacity lock-free Ring of the
 // last N anomalies the kernel saw — fuel exhaustion, memory faults,
 // oversize-packet fallbacks, backend fallbacks, quarantine trips, and
 // security/performance-posture config changes. The span tracer answers
@@ -9,10 +9,7 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"io"
-	"sort"
-	"sync/atomic"
 	"time"
 )
 
@@ -51,7 +48,7 @@ const (
 
 // FlightEvent is one recorded anomaly.
 type FlightEvent struct {
-	// Seq is the event's global sequence number (monotonic from 0);
+	// Seq is the event's ring sequence number (monotonic from 0);
 	// gaps at the low end mean the ring wrapped.
 	Seq uint64 `json:"seq"`
 	// TimeUnixNanos is the wall-clock timestamp.
@@ -71,142 +68,46 @@ type FlightEvent struct {
 // DefaultFlightCapacity is the ring size used when capacity <= 0.
 const DefaultFlightCapacity = 256
 
-// FlightRecorder is the anomaly ring. Appends are lock-free (one
-// atomic counter claims a slot, one atomic pointer store publishes),
-// so recording from the dispatch path never blocks; when full, the
-// oldest events are overwritten. A nil *FlightRecorder is a valid
-// no-op sink.
-type FlightRecorder struct {
-	slots []atomic.Pointer[FlightEvent]
-	next  atomic.Uint64
-}
+// FlightRecorder is the anomaly Ring. Recording from the dispatch path
+// never blocks; when full, the oldest events are overwritten. A nil
+// *FlightRecorder is a valid no-op sink.
+type FlightRecorder Ring[FlightEvent]
+
+// FlightSnapshot is the JSON document WriteJSON emits (and the serve
+// endpoint exposes), with the exact accounting of RingSnapshot.
+type FlightSnapshot = RingSnapshot[FlightEvent]
 
 // NewFlightRecorder builds a ring holding up to capacity events.
 func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = DefaultFlightCapacity
-	}
-	return &FlightRecorder{slots: make([]atomic.Pointer[FlightEvent], capacity)}
+	return (*FlightRecorder)(newRing[FlightEvent](capacity, DefaultFlightCapacity))
 }
 
-// Record appends one anomaly, stamped now.
-func (f *FlightRecorder) Record(kind, owner, detail string) {
-	f.RecordEvent(kind, owner, detail, 0)
-}
+func (f *FlightRecorder) ring() *Ring[FlightEvent] { return (*Ring[FlightEvent])(f) }
 
 // RecordEvent appends one anomaly correlated with the kernel EventID
-// event (0 = uncorrelated), stamped now.
+// event (0 = uncorrelated), stamped now and with its ring sequence.
 func (f *FlightRecorder) RecordEvent(kind, owner, detail string, event uint64) {
 	if f == nil {
 		return
 	}
-	e := &FlightEvent{
+	e := FlightEvent{
 		TimeUnixNanos: time.Now().UnixNano(),
 		Kind:          kind,
 		Owner:         owner,
 		Detail:        detail,
 		Event:         event,
 	}
-	e.Seq = f.next.Add(1) - 1
-	f.slots[e.Seq%uint64(len(f.slots))].Store(e)
+	e.Seq = f.ring().claim()
+	f.ring().publish(e.Seq, e)
 }
 
-// Cap returns the ring capacity.
-func (f *FlightRecorder) Cap() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.slots)
-}
-
-// Appended returns the total number of events ever recorded.
-func (f *FlightRecorder) Appended() int64 {
-	if f == nil {
-		return 0
-	}
-	return int64(f.next.Load())
-}
-
-// Dropped returns how many events have been overwritten by ring wrap.
-func (f *FlightRecorder) Dropped() int64 {
-	if f == nil {
-		return 0
-	}
-	n := f.Appended() - int64(len(f.slots))
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
-// Events snapshots the ring's current contents, oldest first. Each
-// slot is read atomically; a concurrent append may replace a slot
-// mid-snapshot, so the result is a consistent set of real events but
-// not a point-in-time cut.
-func (f *FlightRecorder) Events() []FlightEvent {
-	if f == nil {
-		return nil
-	}
-	out := make([]FlightEvent, 0, len(f.slots))
-	for i := range f.slots {
-		if e := f.slots[i].Load(); e != nil {
-			out = append(out, *e)
-		}
-	}
-	// Seq order == record order; slots wrap, so sort by Seq.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].Seq > out[j].Seq; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
-}
-
-// FlightSnapshot is the JSON document WriteJSON emits (and the serve
-// endpoint exposes). The accounting invariant
-//
-//	Appended == len(Events) + Dropped
-//
-// holds exactly at every snapshot, even while appends race: Dropped
-// counts both ring-overwritten events and slots claimed by an
-// in-flight append but not yet published.
-type FlightSnapshot struct {
-	Capacity int           `json:"capacity"`
-	Appended int64         `json:"appended"`
-	Dropped  int64         `json:"dropped"`
-	Events   []FlightEvent `json:"events"`
-}
-
-// Snapshot captures a consistent view of the ring. The append counter
-// is read once, first; only events sequenced strictly below that read
-// are included, and Dropped is defined as the difference — so the
-// Appended == len(Events) + Dropped invariant holds by construction
-// regardless of concurrent appends, and every included Seq is unique
-// (distinct slots hold distinct residues mod capacity).
-func (f *FlightRecorder) Snapshot() FlightSnapshot {
-	snap := FlightSnapshot{Capacity: f.Cap(), Events: []FlightEvent{}}
-	if f == nil {
-		return snap
-	}
-	a := int64(f.next.Load())
-	for i := range f.slots {
-		if e := f.slots[i].Load(); e != nil && int64(e.Seq) < a {
-			snap.Events = append(snap.Events, *e)
-		}
-	}
-	// Seq order == record order; slots wrap, so sort by Seq.
-	sort.Slice(snap.Events, func(i, j int) bool {
-		return snap.Events[i].Seq < snap.Events[j].Seq
-	})
-	snap.Appended = a
-	snap.Dropped = a - int64(len(snap.Events))
-	return snap
-}
-
-// WriteJSON writes the ring state as one indented JSON document:
-// {"capacity", "appended", "dropped", "events": [...oldest first]}.
+// Cap, Appended, Dropped, Events, Snapshot and WriteJSON read the ring
+// (see Ring).
+func (f *FlightRecorder) Cap() int                 { return f.ring().Cap() }
+func (f *FlightRecorder) Appended() int64          { return f.ring().Appended() }
+func (f *FlightRecorder) Dropped() int64           { return f.ring().Dropped() }
+func (f *FlightRecorder) Events() []FlightEvent    { return f.ring().Events() }
+func (f *FlightRecorder) Snapshot() FlightSnapshot { return f.ring().Snapshot() }
 func (f *FlightRecorder) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f.Snapshot())
+	return f.ring().WriteJSON(w)
 }

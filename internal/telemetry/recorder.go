@@ -119,7 +119,7 @@ func New() *Recorder { return NewWith(Options{}) }
 func NewWith(o Options) *Recorder {
 	r := &Recorder{
 		start:        time.Now(),
-		trace:        newTrace(o.TraceCapacity),
+		trace:        newRing[Event](o.TraceCapacity, DefaultTraceCapacity),
 		stageHists:   make(map[string]*Histogram, len(Stages)),
 		bounds:       o.Buckets,
 		winOpts:      o.Window,
@@ -340,7 +340,7 @@ func (r *Recorder) RecordSpan(stage, detail string, parent, event uint64, start 
 // histogram counts == trace.Appended()" is an invariant the tests
 // assert.
 func (r *Recorder) finish(s Span, dur time.Duration, err error) {
-	e := &Event{
+	e := Event{
 		ID:         s.id,
 		Parent:     s.parent,
 		Event:      s.event,
@@ -352,7 +352,7 @@ func (r *Recorder) finish(s Span, dur time.Duration, err error) {
 	if err != nil {
 		e.Err = err.Error()
 	}
-	r.trace.add(e)
+	r.trace.publish(r.trace.claim(), e)
 	h := r.stageHists[s.stage]
 	if h == nil {
 		h = r.Histogram("pcc_stage_" + s.stage + "_seconds")

@@ -166,7 +166,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if lines := strings.Count(buf.String(), "\n"); lines != 3 {
 		t.Fatalf("jsonl lines = %d, want 3:\n%s", lines, buf.String())
 	}
-	decoded, err := ReadJSONL(&buf)
+	// Blank lines between records are skipped.
+	decoded, err := ReadJSONL[Event](strings.NewReader(strings.ReplaceAll(buf.String(), "\n", "\n\n")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 			t.Errorf("round-trip mismatch at %d:\n got %+v\nwant %+v", i, decoded[i], orig[i])
 		}
 	}
-	if _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
+	if _, err := ReadJSONL[Event](strings.NewReader("not json\n")); err == nil {
 		t.Error("malformed line should error")
 	}
 }

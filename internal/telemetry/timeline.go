@@ -52,63 +52,40 @@ type Timeline struct {
 // and returns the records matching q, each stream sorted by wall time.
 func BuildTimeline(rec *Recorder, ar *AuditRing, fr *FlightRecorder, q TimelineQuery) Timeline {
 	tl := Timeline{Spans: []TimelineSpan{}, Audit: []AuditRecord{}, Flight: []FlightEvent{}}
-	if tr := rec.Trace(); tr != nil {
-		origin := rec.StartTime().UnixNano()
-		for _, e := range tr.Events() {
-			ts := origin + e.StartNanos
-			if q.Event != 0 && e.Event != q.Event {
-				continue
-			}
-			if q.Owner != "" && e.Detail != q.Owner {
-				continue
-			}
-			if q.Stage != "" && e.Stage != q.Stage {
-				continue
-			}
-			if q.SinceUnixNanos != 0 && ts < q.SinceUnixNanos {
-				continue
-			}
+	origin := rec.StartTime().UnixNano()
+	for _, e := range rec.Trace().Snapshot().Events {
+		ts := origin + e.StartNanos
+		if q.match(e.Event, e.Detail, ts) && (q.Stage == "" || e.Stage == q.Stage) {
 			tl.Spans = append(tl.Spans, TimelineSpan{Event: e, TimeUnixNanos: ts})
 		}
-		sort.Slice(tl.Spans, func(i, j int) bool {
-			a, b := tl.Spans[i], tl.Spans[j]
-			if a.TimeUnixNanos != b.TimeUnixNanos {
-				return a.TimeUnixNanos < b.TimeUnixNanos
-			}
-			return a.ID < b.ID
-		})
 	}
-	for _, r := range ar.Records() {
-		if q.Event != 0 && r.Event != q.Event {
-			continue
+	// The span ring is in completion order; a parent span completes
+	// after its children but started before them.
+	sort.Slice(tl.Spans, func(i, j int) bool {
+		a, b := tl.Spans[i], tl.Spans[j]
+		if a.TimeUnixNanos != b.TimeUnixNanos {
+			return a.TimeUnixNanos < b.TimeUnixNanos
 		}
-		if q.Owner != "" && r.Owner != q.Owner {
-			continue
+		return a.ID < b.ID
+	})
+	for _, r := range ar.Snapshot().Events {
+		if q.match(r.Event, r.Owner, r.TimeUnixNanos) && (q.Kind == "" || r.Kind == q.Kind) {
+			tl.Audit = append(tl.Audit, r)
 		}
-		if q.Kind != "" && r.Kind != q.Kind {
-			continue
-		}
-		if q.SinceUnixNanos != 0 && r.TimeUnixNanos < q.SinceUnixNanos {
-			continue
-		}
-		tl.Audit = append(tl.Audit, r)
 	}
 	for _, e := range fr.Snapshot().Events {
-		if q.Event != 0 && e.Event != q.Event {
-			continue
+		if q.match(e.Event, e.Owner, e.TimeUnixNanos) && (q.Kind == "" || e.Kind == q.Kind) {
+			tl.Flight = append(tl.Flight, e)
 		}
-		if q.Owner != "" && e.Owner != q.Owner {
-			continue
-		}
-		if q.Kind != "" && e.Kind != q.Kind {
-			continue
-		}
-		if q.SinceUnixNanos != 0 && e.TimeUnixNanos < q.SinceUnixNanos {
-			continue
-		}
-		tl.Flight = append(tl.Flight, e)
 	}
 	return tl
+}
+
+// match applies the constraints every stream shares.
+func (q TimelineQuery) match(event uint64, owner string, ts int64) bool {
+	return (q.Event == 0 || event == q.Event) &&
+		(q.Owner == "" || owner == q.Owner) &&
+		(q.SinceUnixNanos == 0 || ts >= q.SinceUnixNanos)
 }
 
 // WriteJSON writes the timeline as one indented JSON document.

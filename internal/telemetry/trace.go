@@ -1,19 +1,7 @@
-// Span tracer: a fixed-capacity ring of completed spans, appended
-// lock-free (one atomic counter claims a slot, one atomic pointer
-// store publishes the event) so the dispatch path never queues behind
-// a reader. When the ring wraps, the oldest events are overwritten and
-// counted as dropped — telemetry degrades by forgetting history, never
-// by blocking the kernel.
+// Span tracer: a fixed-capacity Ring of completed spans. Each span
+// appends one event when it ends, lock-free, so the dispatch path
+// never queues behind a reader.
 package telemetry
-
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-	"sync/atomic"
-)
 
 // Event is one completed span. Times are nanoseconds since the
 // recorder was created (a monotonic, export-friendly origin).
@@ -40,88 +28,9 @@ type Event struct {
 	Err string `json:"err,omitempty"`
 }
 
-// Trace is the ring buffer of completed spans.
-type Trace struct {
-	slots []atomic.Pointer[Event]
-	next  atomic.Uint64 // total events ever appended
-}
+// Trace is the ring of completed spans, oldest first in completion
+// order (see Ring).
+type Trace = Ring[Event]
 
 // DefaultTraceCapacity is the ring size of recorders built with New.
 const DefaultTraceCapacity = 4096
-
-// newTrace builds a ring holding up to capacity events.
-func newTrace(capacity int) *Trace {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	return &Trace{slots: make([]atomic.Pointer[Event], capacity)}
-}
-
-// add appends one completed event, overwriting the oldest when full.
-func (t *Trace) add(e *Event) {
-	seq := t.next.Add(1) - 1
-	t.slots[seq%uint64(len(t.slots))].Store(e)
-}
-
-// Appended returns the total number of events ever appended.
-func (t *Trace) Appended() int64 { return int64(t.next.Load()) }
-
-// Dropped returns how many events have been overwritten by ring wrap.
-func (t *Trace) Dropped() int64 {
-	n := int64(t.next.Load()) - int64(len(t.slots))
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
-// Events snapshots the ring's current contents, oldest first. Each
-// slot is read atomically; a concurrent append may replace a slot
-// mid-snapshot, so the result is a consistent set of real events but
-// not a point-in-time cut.
-func (t *Trace) Events() []Event {
-	out := make([]Event, 0, len(t.slots))
-	for i := range t.slots {
-		if e := t.slots[i].Load(); e != nil {
-			out = append(out, *e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// WriteJSONL writes the ring's events as JSON-lines, oldest first.
-func (t *Trace) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range t.Events() {
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(append(b, '\n')); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSONL decodes a JSON-lines trace export (the inverse of
-// WriteJSONL); blank lines are skipped.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("telemetry: trace line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	return out, sc.Err()
-}

@@ -1,6 +1,6 @@
 #!/bin/sh
 # verify.sh — the one entry point future PRs run before shipping:
-# build, vet, the full test suite under the race detector (the
+# build, vet, gofmt over the tracked Go files, the full test suite under the race detector (the
 # concurrent validation pipeline must stay -race clean), a smoke pass
 # over the seed fuzz corpora, and a telemetry smoke that checks the
 # metrics exposition contract pccmon -telemetry promises.
@@ -12,6 +12,17 @@ go build ./...
 
 echo '== go vet ./...'
 go vet ./...
+
+# Only tracked files: build outputs such as .bench_build/ hold Go
+# sources of their own (module cache) that are not ours to format.
+echo '== gofmt -l (tracked Go files)'
+files=$(git ls-files '*.go')
+unformatted=$(gofmt -l $files)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: not formatted:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 # The telemetry, kernel, and machine packages lean on sync/atomic and
 # carry lock-free invariants (the profiler hot path merges pooled
